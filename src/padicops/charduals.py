@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import ConfigInvalid, IndexNotInG0
+from .errors import CertificationFailed, ConfigInvalid
 from .padic import DEFAULT_PRECISION, PadicScalar, teichmuller_root
+from .ultralinalg import KMatrix
 
 
 def _is_prime(n: int) -> bool:
@@ -88,6 +90,32 @@ class TruncatedGroup:
     def haar_weight(self) -> PadicScalar:
         """Mass of a single point: 1 / |G| (a p-adic unit since p does not divide l)."""
         return PadicScalar.from_rational(self.p, Fraction(1, self.order))
+
+    @cached_property
+    def partial_fourier(self) -> tuple[KMatrix, KMatrix]:
+        """The partial Fourier matrix F = I_S (x) F_G on C(S x G) and its inverse.
+
+        Rows of F are indexed by points, (x, a) -> x * l^k + a; columns by
+        the block basis, (n, y) -> n * l^j + y, and column (n, y) is
+        delta_y (x) g_n.  By character orthogonality the inverse is
+        (1 / |G|) zeta^(-n a) on the same support, so no elimination is
+        needed; F F^-1 = I is certified once, when the pair is first used.
+        """
+        p, s, order = self.p, self.s_size, self.order
+        n_dim = s * order
+        zero = PadicScalar.zero(p)
+        weight = self.haar_weight()
+        F = [[zero] * n_dim for _ in range(n_dim)]
+        F_inv = [[zero] * n_dim for _ in range(n_dim)]
+        for x in range(s):
+            for a in range(order):
+                for n in range(order):
+                    F[x * order + a][n * s + x] = self.zeta_pow(n * a)
+                    F_inv[n * s + x][x * order + a] = weight * self.zeta_pow(-n * a)
+        F, F_inv = KMatrix(p, F), KMatrix(p, F_inv)
+        if not (F @ F_inv).equals(KMatrix.identity(p, n_dim)):
+            raise CertificationFailed("F F^-1 is not the identity")
+        return F, F_inv
 
     def __repr__(self):
         return f"TruncatedGroup(l={self.l}, k={self.k}, j={self.j}, p={self.p})"

@@ -33,7 +33,7 @@ from .crossed import (
     verify_commutation_theorem,
     verify_operator_identities,
 )
-from .errors import ConfigInvalid, PadicopsError
+from .errors import CertificationFailed, ConfigInvalid, PadicopsError
 from .padic import DEFAULT_PRECISION, PadicScalar, parse_scalar
 from .reduction import (
     FiniteAlgebra,
@@ -50,7 +50,13 @@ from .spectral import (
     multiplication_operator,
     normality_scan,
 )
-from .ultralinalg import KMatrix, algebra_span, operator_norm, parse_matrix
+from .ultralinalg import (
+    KMatrix,
+    algebra_span,
+    matrix_inverse,
+    operator_norm,
+    parse_matrix,
+)
 
 SUITES = ("mihara", "spectral", "fourier", "crossed", "reduce", "baer", "all")
 
@@ -166,10 +172,8 @@ def _unimodular(p: int, n: int, rng: random.Random) -> tuple[KMatrix, KMatrix]:
                     E[i][j] = PadicScalar.from_int(p, rng.randint(-3 * p, 3 * p))
         return KMatrix(p, E)
 
-    from .reduction import _matrix_inverse
-
     Q = unipotent(True) @ unipotent(False)
-    return Q, _matrix_inverse(Q)
+    return Q, matrix_inverse(Q)
 
 
 def _mihara_matrix(p: int) -> KMatrix:
@@ -183,14 +187,14 @@ def _check(fn):
         start = time.monotonic()
         try:
             report = fn(config, *args)
+        except (AssertionError, CertificationFailed) as exc:
+            report = CheckReport(
+                fn.check_id, config.echo(), "fail", {"assertion": str(exc)}
+            )
         except PadicopsError as exc:
             report = CheckReport(
                 fn.check_id, config.echo(), "error",
                 {"exception": type(exc).__name__, "message": str(exc)},
-            )
-        except AssertionError as exc:
-            report = CheckReport(
-                fn.check_id, config.echo(), "fail", {"assertion": str(exc)}
             )
         report.wall_time_ms = 1000 * (time.monotonic() - start)
         return report

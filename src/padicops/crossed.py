@@ -8,14 +8,25 @@ every identity here is an exact matrix equality.
 
 Point basis order: index(x, a) = x * l^k + a with x in S, a in G.
 The base point for the eta functions is x0 = 0.
+
+Block picture: an operator A on C(S x G) becomes an l^k x l^k array of
+operators on C(S) through the change of basis A -> F^-1 A F, where
+F = I_S (x) F_G is the partial Fourier matrix whose column (n, y) is
+delta_y (x) g_n (``TruncatedGroup.partial_fourier``, built and certified
+once per group).  The block basis is ordered block-major,
+index(m, x) = m * l^j + x, so block [m][n] of F^-1 A F is the contiguous
+slice of rows m * l^j .. (m + 1) * l^j - 1 and the same range of columns
+for n.  Entry (x, y) of block [m][n] is the m-th Fourier coefficient, at
+x, of A applied to delta_y (x) g_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .charduals import TruncatedGroup, fourier_analyze
-from .errors import IndexNotInG0
+from .errors import CertificationFailed, IndexNotInG0
 from .padic import PadicScalar
 from .report import CheckResult
 from .ultralinalg import (
@@ -39,13 +50,6 @@ def space_dim(grp: TruncatedGroup) -> int:
 
 def grid_to_vec(grp: TruncatedGroup, grid) -> list[PadicScalar]:
     return [grid[x][a] for x in range(grp.s_size) for a in range(grp.order)]
-
-
-def vec_to_grid(grp: TruncatedGroup, vec) -> list[list[PadicScalar]]:
-    return [
-        [vec[point_index(grp, x, a)] for a in range(grp.order)]
-        for x in range(grp.s_size)
-    ]
 
 
 def eta(grp: TruncatedGroup, i: int) -> list[PadicScalar]:
@@ -110,69 +114,65 @@ def nu_basis(grp: TruncatedGroup) -> list[tuple[int, int, list[list[PadicScalar]
     return out
 
 
-def matrix_blocks(grp: TruncatedGroup, op: KMatrix) -> list[list[KMatrix]]:
-    """Block decomposition blocks[m][n]: C(S) -> C(S).
+def nu_change_of_basis(grp: TruncatedGroup) -> tuple[KMatrix, KMatrix]:
+    """The matrix T whose columns are the nu basis, in nu_basis order, and T^-1.
 
-    Column y of blocks[m][n] is the m-th Fourier coefficient (in the
-    group variable) of op applied to delta_y tensor g_n.
+    By character orthogonality on S and on G,
+    T^-1[(i, n), (x, a)] = zeta^(i x - n a) / (l^j l^k); T T^-1 = I is
+    certified before the pair is returned.
     """
     p = grp.p
-    zero = PadicScalar.zero(p)
-    cols: dict[tuple[int, int], list[list[PadicScalar]]] = {}
-    for n in range(grp.order):
-        for y in range(grp.s_size):
-            vec = [zero] * space_dim(grp)
-            for a in range(grp.order):
-                vec[point_index(grp, y, a)] = grp.zeta_pow(n * a)
-            image = op.apply(vec)
-            coeffs = fourier_analyze(grp, vec_to_grid(grp, image))
-            for m in range(grp.order):
-                cols.setdefault((m, n), []).append(coeffs[m])
-    blocks = []
-    for m in range(grp.order):
-        row = []
-        for n in range(grp.order):
-            # cols[(m,n)][y][x] is entry (x, y) of the block
-            by_col = cols[(m, n)]
-            row.append(
-                KMatrix(
-                    p,
-                    [
-                        [by_col[y][x] for y in range(grp.s_size)]
-                        for x in range(grp.s_size)
-                    ],
-                )
-            )
-        blocks.append(row)
-    return blocks
+    nu = nu_basis(grp)
+    T = KMatrix(p, [grid_to_vec(grp, g) for _, _, g in nu]).transpose()
+    scale = PadicScalar.from_rational(p, Fraction(1, space_dim(grp)))
+    T_inv = KMatrix(
+        p,
+        [
+            [
+                scale * grp.zeta_pow(i * x - n * a)
+                for x in range(grp.s_size)
+                for a in range(grp.order)
+            ]
+            for i, n, _ in nu
+        ],
+    )
+    if not (T @ T_inv).equals(KMatrix.identity(p, space_dim(grp))):
+        raise CertificationFailed("T T^-1 is not the identity")
+    return T, T_inv
+
+
+def block_form(grp: TruncatedGroup, op: KMatrix) -> KMatrix:
+    """F^-1 op F: op in the block basis (see the module docstring)."""
+    F, F_inv = grp.partial_fourier
+    return F_inv @ op @ F
+
+
+def _block(hat: KMatrix, s: int, m: int, n: int) -> list[list[PadicScalar]]:
+    """Entries of block [m][n] of a block form, whose blocks are s x s."""
+    return [row[n * s : (n + 1) * s] for row in hat.entries[m * s : (m + 1) * s]]
+
+
+def matrix_blocks(grp: TruncatedGroup, op: KMatrix) -> list[list[KMatrix]]:
+    """Block decomposition blocks[m][n]: C(S) -> C(S), sliced from F^-1 op F."""
+    hat = block_form(grp, op)
+    return [
+        [KMatrix(grp.p, _block(hat, grp.s_size, m, n)) for n in range(grp.order)]
+        for m in range(grp.order)
+    ]
 
 
 def matrix_from_blocks(grp: TruncatedGroup, blocks: list[list[KMatrix]]) -> KMatrix:
-    """Inverse of matrix_blocks: assemble the point-basis matrix."""
-    p = grp.p
-    n_dim = space_dim(grp)
-    zero = PadicScalar.zero(p)
-    weight = grp.haar_weight()
-    entries = [[zero] * n_dim for _ in range(n_dim)]
-    for y in range(grp.s_size):
-        for b in range(grp.order):
-            col = point_index(grp, y, b)
-            for m in range(grp.order):
-                for n in range(grp.order):
-                    block = blocks[m][n]
-                    for x in range(grp.s_size):
-                        c = block.entries[x][y]
-                        if c.is_zero():
-                            continue
-                        for a in range(grp.order):
-                            row = point_index(grp, x, a)
-                            term = (
-                                weight
-                                * c
-                                * grp.zeta_pow(m * a - n * b)
-                            )
-                            entries[row][col] = entries[row][col] + term
-    return KMatrix(p, entries)
+    """Inverse of matrix_blocks: F hat F^-1 for the assembled block form hat."""
+    hat = KMatrix(
+        grp.p,
+        [
+            [c for block in block_row for c in block.entries[x]]
+            for block_row in blocks
+            for x in range(grp.s_size)
+        ],
+    )
+    F, F_inv = grp.partial_fourier
+    return F @ hat @ F_inv
 
 
 def mult_operator_on_s(grp: TruncatedGroup, phi: list[PadicScalar]) -> KMatrix:
@@ -298,27 +298,39 @@ def idempotent_check(elem: StructuredCommutantElement) -> IdempotentVerdict:
     return IdempotentVerdict(idem, ortho)
 
 
-def extract_block_coefficients(grp: TruncatedGroup, op: KMatrix) -> KMatrix:
+def extract_block_coefficients(
+    grp: TruncatedGroup, op: KMatrix | None = None, *, hat: KMatrix | None = None
+) -> KMatrix:
     """Coefficient matrix b[m,n] of an element of the U/L commutant.
 
-    Verifies that every block is multiplication by b[m,n] eta_(m-n) and
-    that blocks vanish off the G0-cosets; returns the l^k x l^k matrix b.
+    Takes the point-basis matrix op, or its block form hat = F^-1 op F
+    when the caller already has it.  Certifies that every block is
+    multiplication by b[m,n] eta_(m-n) and that blocks vanish off the
+    G0-cosets, raising CertificationFailed otherwise; returns the
+    l^k x l^k matrix b.
     """
-    p = grp.p
-    zero = PadicScalar.zero(p)
-    blocks = matrix_blocks(grp, op)
-    b_entries = [[zero] * grp.order for _ in range(grp.order)]
+    if hat is None:
+        hat = block_form(grp, op)
+    etas = {i: eta(grp, i) for i in grp.g0_indices()}
+    b_entries = [[PadicScalar.zero(grp.p)] * grp.order for _ in range(grp.order)]
     for m in range(grp.order):
         for n in range(grp.order):
-            block = blocks[m][n]
-            if not grp.in_g0(m - n):
-                assert block.is_zero(), "nonzero block off the G0-cosets"
+            block = _block(hat, grp.s_size, m, n)
+            eta_mn = etas.get((m - n) % grp.order)
+            if eta_mn is None:
+                if not all(c.is_zero() for row in block for c in row):
+                    raise CertificationFailed("nonzero block off the G0-cosets")
                 continue
-            b_mn = block.entries[0][0]  # psi(x0) with x0 = 0
-            expected = mult_operator_on_s(grp, eta(grp, m - n)).scale(b_mn)
-            assert block.equals(expected), "block is not b * mult(eta)"
+            b_mn = block[0][0]  # psi(x0) with x0 = 0
+            # block - b_mn * mult(eta_(m-n)) must vanish entrywise
+            if not all(
+                (c - b_mn * eta_mn[x] if x == y else c).is_zero()
+                for x, row in enumerate(block)
+                for y, c in enumerate(row)
+            ):
+                raise CertificationFailed("block is not b * mult(eta)")
             b_entries[m][n] = b_mn
-    return KMatrix(p, b_entries)
+    return KMatrix(grp.p, b_entries)
 
 
 def verify_operator_identities(grp: TruncatedGroup) -> list[CheckResult]:
@@ -468,11 +480,10 @@ def verify_commutation_theorem(grp: TruncatedGroup) -> list[CheckResult]:
     structure_ok = True
     for B in IC.basis:
         try:
-            b = extract_block_coefficients(grp, B)
-        except AssertionError:
+            extract_block_coefficients(grp, B)
+        except CertificationFailed:
             structure_ok = False
             break
-        del b
     results.append(CheckResult("commutant_elements_have_coset_block_form", structure_ok))
 
     Z = center(RI)

@@ -69,5 +69,13 @@ class BudgetExceeded(PadicopsError):
     """An exhaustive search exceeded its configured budget."""
 
 
+class CertificationFailed(PadicopsError):
+    """A computed result failed the exact check that certifies it.
+
+    Raised in place of ``assert`` so that certification survives
+    ``python -O``; the CLI reports it as a failed check.
+    """
+
+
 class ConfigInvalid(PadicopsError):
     """Run configuration violates a structural constraint (e.g. l^k | p-1)."""

@@ -19,11 +19,11 @@ import sympy
 from . import fpalg
 from .charduals import TruncatedGroup
 from .crossed import (
+    block_form,
     build_algebras,
     extract_block_coefficients,
-    grid_to_vec,
     nu_basis,
-    space_dim,
+    nu_change_of_basis,
 )
 from .errors import BudgetExceeded, NonConvergent, NotInUnitBall, PrecisionLoss
 from .padic import PadicScalar, reduce_residue
@@ -568,7 +568,9 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
         )
     )
 
-    coeffs = [extract_block_coefficients(grp, B) for B in lattice.basis]
+    # each basis element is conjugated into the block basis once
+    hats = [block_form(grp, B) for B in lattice.basis]
+    coeffs = [extract_block_coefficients(grp, hat=h) for h in hats]
     support_ok = all(
         b.entries[m][n].is_zero()
         for b in coeffs
@@ -578,29 +580,25 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
     )
     results.append(CheckResult("coefficients_vanish_off_G0_cosets", support_ok))
 
+    # F^-1 A1 A2 F = (F^-1 A1 F)(F^-1 A2 F), as F F^-1 = I is certified
     mult_ok = True
-    for A1, b1 in zip(lattice.basis, coeffs):
-        for A2, b2 in zip(lattice.basis, coeffs):
-            prod_b = extract_block_coefficients(grp, A1 @ A2)
+    for h1, b1 in zip(hats, coeffs):
+        for h2, b2 in zip(hats, coeffs):
+            prod_b = extract_block_coefficients(grp, hat=h1 @ h2)
             if not prod_b.equals(b1 @ b2):
                 mult_ok = False
     results.append(CheckResult("coefficient_map_is_multiplicative", mult_ok))
 
     # matrix elements in the nu basis follow the shifted-coset pattern
-    nu = nu_basis(grp)
-    nu_index = [(i, n) for (i, n, _) in nu]
-    T = KMatrix(
-        p,
-        [
-            [grid_to_vec(grp, g)[row] for (_, _, g) in nu]
-            for row in range(space_dim(grp))
-        ],
-    )
-    Tinv = _matrix_inverse(T)
+    # T^-1 A T = (T^-1 F) hat (F^-1 T), and F^-1 T is sparse
+    T, T_inv = nu_change_of_basis(grp)
+    F, F_inv = grp.partial_fourier
+    nu_from_block, block_from_nu = T_inv @ F, F_inv @ T
+    nu_index = [(i, n) for i, n, _ in nu_basis(grp)]
     pattern_ok = True
     reduced_coeffs = []
-    for A, b in zip(lattice.basis, coeffs):
-        C = Tinv @ A @ T
+    for hat, b in zip(hats, coeffs):
+        C = nu_from_block @ hat @ block_from_nu
         for col, (i, j) in enumerate(nu_index):
             for row, (l_idx, m) in enumerate(nu_index):
                 expected = (
@@ -670,36 +668,3 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
     )
     return results
 
-
-def _matrix_inverse(A: KMatrix) -> KMatrix:
-    """Gauss-Jordan inverse with max-norm (minimal valuation) pivoting."""
-    p, n = A.p, A.rows
-    zero = PadicScalar.zero(p)
-    one = PadicScalar.one(p)
-    aug = [
-        [A.entries[i][j] for j in range(n)]
-        + [one if i == j else zero for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot_row = None
-        pivot_val = None
-        for r in range(col, n):
-            x = aug[r][col]
-            if x.is_certified_nonzero():
-                v = x.valuation()
-                if pivot_val is None or v < pivot_val:
-                    pivot_row, pivot_val = r, v
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_piv = aug[col][col].inverse()
-        aug[col] = [x * inv_piv for x in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col].is_zero():
-                continue
-            factor = aug[r][col]
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inv = KMatrix(p, [row[n:] for row in aug])
-    assert (A @ inv).equals(KMatrix.identity(p, n)), "matrix inversion failed"
-    return inv

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from . import fpalg
-from .errors import NotUnitNorm, PrecisionLoss
+from .errors import CertificationFailed, NotUnitNorm, PrecisionLoss
 from .padic import PadicScalar, reduce_residue
 
 INF = math.inf
@@ -135,6 +135,41 @@ class KMatrix:
 
     def __repr__(self):
         return f"KMatrix({self.p}, {self.rows}x{self.cols})"
+
+
+def matrix_inverse(A: KMatrix) -> KMatrix:
+    """Gauss-Jordan inverse with max-norm (minimal valuation) pivoting."""
+    p, n = A.p, A.rows
+    zero = PadicScalar.zero(p)
+    one = PadicScalar.one(p)
+    aug = [
+        [A.entries[i][j] for j in range(n)]
+        + [one if i == j else zero for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot_row = None
+        pivot_val = None
+        for r in range(col, n):
+            x = aug[r][col]
+            if x.is_certified_nonzero():
+                v = x.valuation()
+                if pivot_val is None or v < pivot_val:
+                    pivot_row, pivot_val = r, v
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv_piv = aug[col][col].inverse()
+        aug[col] = [x * inv_piv for x in aug[col]]
+        for r in range(n):
+            if r == col or aug[r][col].is_zero():
+                continue
+            factor = aug[r][col]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    inv = KMatrix(p, [row[n:] for row in aug])
+    if not (A @ inv).equals(KMatrix.identity(p, n)):
+        raise CertificationFailed("matrix inversion failed")
+    return inv
 
 
 def vec_norm_exponent(vec) -> NormExponent:

@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from padicops.cli import CheckReport, RunConfig, run_suite
-from padicops.errors import ConfigInvalid
+from padicops.cli import CheckReport, RunConfig, _named, run_suite
+from padicops.errors import CertificationFailed, ConfigInvalid
 
 
 def run_cli(*args):
@@ -53,6 +53,15 @@ class TestRunSuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigInvalid):
             run_suite(RunConfig(), "bogus")
+
+    def test_certification_failure_is_a_fail(self):
+        @_named("test.uncertified")
+        def check(config):
+            raise CertificationFailed("block is not b * mult(eta)")
+
+        report = check(RunConfig())
+        assert report.status == "fail"
+        assert report.detail == {"assertion": "block is not b * mult(eta)"}
 
     def test_serialization_omits_timing(self):
         report = CheckReport("x", {}, "pass", {}, wall_time_ms=12.5)

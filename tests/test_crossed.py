@@ -1,25 +1,33 @@
 """Crossed-product operators, commutation theorem, structured idempotents."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from padicops.charduals import TruncatedGroup
+from padicops.charduals import TruncatedGroup, fourier_analyze
 from padicops.crossed import (
     StructuredCommutantElement,
     build_algebras,
     build_operator,
     eta,
+    extract_block_coefficients,
     idempotent_check,
+    matrix_blocks,
+    matrix_from_blocks,
     mult_operator_on_s,
     nu_basis,
+    nu_change_of_basis,
     point_index,
     space_dim,
     verify_commutation_theorem,
     verify_operator_identities,
 )
-from padicops.errors import IndexNotInG0
+from padicops.errors import CertificationFailed, IndexNotInG0
 from padicops.padic import PadicScalar
 from padicops.report import all_passed
 from padicops.ultralinalg import KMatrix, MatrixAlgebra, commutant, is_orthonormal
@@ -167,3 +175,128 @@ class TestCommutantMembership:
             P = StructuredCommutantElement(grp, b).to_matrix()
             for G in algebras.RI.basis:
                 assert (P @ G).equals(G @ P)
+
+
+def reference_matrix_blocks(grp, op):
+    """Column-by-column block decomposition: apply op to delta_y (x) g_n,
+    then take Fourier coefficients in the group variable."""
+    p = grp.p
+    zero = PadicScalar.zero(p)
+    cols = {}
+    for n in range(grp.order):
+        for y in range(grp.s_size):
+            vec = [zero] * space_dim(grp)
+            for a in range(grp.order):
+                vec[point_index(grp, y, a)] = grp.zeta_pow(n * a)
+            image = op.apply(vec)
+            grid = [
+                [image[point_index(grp, x, a)] for a in range(grp.order)]
+                for x in range(grp.s_size)
+            ]
+            coeffs = fourier_analyze(grp, grid)
+            for m in range(grp.order):
+                cols.setdefault((m, n), []).append(coeffs[m])
+    return [
+        [
+            KMatrix(
+                p,
+                [
+                    [cols[(m, n)][y][x] for y in range(grp.s_size)]
+                    for x in range(grp.s_size)
+                ],
+            )
+            for n in range(grp.order)
+        ]
+        for m in range(grp.order)
+    ]
+
+
+# (p, l, k, j): non-free and free actions, up to 16 points
+BLOCK_CONFIGS = [(3, 2, 1, 1), (5, 2, 2, 1), (5, 2, 2, 2), (17, 2, 3, 1)]
+
+
+def _operators(grp):
+    p = grp.p
+    rng = random.Random(7)
+    phi = eta(grp, grp.g0_indices()[-1])
+    n = space_dim(grp)
+
+    def draw():
+        return PadicScalar.from_int(p, rng.randint(-3 * p, 3 * p))
+
+    psi = [draw() for _ in range(grp.s_size)]
+    dense = KMatrix(p, [[draw() for _ in range(n)] for _ in range(n)])
+    return {
+        "U": build_operator(grp, "U", a0=1),
+        "V": build_operator(grp, "V", a0=1),
+        "W": build_operator(grp, "W"),
+        "L": build_operator(grp, "L", phi=phi),
+        "M": build_operator(grp, "M", phi=phi),
+        "M_psi": build_operator(grp, "M", phi=psi),
+        "dense": dense,
+    }
+
+
+@pytest.mark.parametrize(
+    "config", BLOCK_CONFIGS, ids=[",".join(map(str, c)) for c in BLOCK_CONFIGS]
+)
+class TestBlockChangeOfBasis:
+    def test_matrix_blocks_match_column_by_column_reference(self, config):
+        p, l, k, j = config
+        grp = TruncatedGroup(l, k, j, p)
+        for name, op in _operators(grp).items():
+            got, want = matrix_blocks(grp, op), reference_matrix_blocks(grp, op)
+            for m in range(grp.order):
+                for n in range(grp.order):
+                    assert got[m][n].equals(want[m][n]), (name, m, n)
+
+    def test_matrix_from_blocks_inverts_matrix_blocks(self, config):
+        p, l, k, j = config
+        grp = TruncatedGroup(l, k, j, p)
+        for name, op in _operators(grp).items():
+            assert matrix_from_blocks(grp, matrix_blocks(grp, op)).equals(op), name
+
+    def test_closed_form_inverses(self, config):
+        p, l, k, j = config
+        grp = TruncatedGroup(l, k, j, p)
+        I = KMatrix.identity(p, space_dim(grp))
+        F, F_inv = grp.partial_fourier
+        assert (F_inv @ F).equals(I)
+        assert (F @ F_inv).equals(I)
+        T, T_inv = nu_change_of_basis(grp)
+        assert (T_inv @ T).equals(I)
+
+
+def test_partial_fourier_is_built_once_and_lazily():
+    grp = TruncatedGroup(2, 2, 1, 5)
+    assert "partial_fourier" not in vars(grp)
+    assert grp.partial_fourier is grp.partial_fourier
+
+
+def test_block_coefficients_of_flip_not_certified():
+    with pytest.raises(CertificationFailed):
+        extract_block_coefficients(NONFREE, build_operator(NONFREE, "W"))
+
+
+def test_block_coefficients_certified_under_optimize_flag():
+    """Certification is an explicit check, so python -O keeps it."""
+    code = (
+        "from padicops.charduals import TruncatedGroup\n"
+        "from padicops.crossed import build_operator, extract_block_coefficients\n"
+        "from padicops.errors import CertificationFailed\n"
+        "grp = TruncatedGroup(2, 2, 1, 5)\n"
+        "try:\n"
+        "    extract_block_coefficients(grp, build_operator(grp, 'W'))\n"
+        "except CertificationFailed as exc:\n"
+        "    print('certification failed:', exc)\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("certification failed:"), proc.stdout
