@@ -264,9 +264,11 @@ def trig_poly_approx(
         values.append(acc)
     # certify both postconditions
     for t in range(sub_size):
-        assert (values[step * t] - f[step * t]).is_zero(), "not exact on Sigma"
+        if not (values[step * t] - f[step * t]).is_zero():
+            raise CertificationFailed("not exact on Sigma")
     err = Fraction(0)
     for i in range(order):
         err = max(err, abs_value_upper(values[i] - f[i]) * w.weight(i))
-    assert err < eps, f"weighted error {err} not below eps {eps}"
+    if not err < eps:
+        raise CertificationFailed(f"weighted error {err} not below eps {eps}")
     return TrigApproximation(coefficients, values, chosen, err)

@@ -34,7 +34,7 @@ from .crossed import (
     verify_operator_identities,
 )
 from .errors import CertificationFailed, ConfigInvalid, PadicopsError
-from .padic import DEFAULT_PRECISION, PadicScalar, parse_scalar
+from .padic import DEFAULT_PRECISION, PadicScalar, parse_scalar, random_exact
 from .reduction import (
     FiniteAlgebra,
     classify_type,
@@ -50,26 +50,9 @@ from .spectral import (
     multiplication_operator,
     normality_scan,
 )
-from .ultralinalg import (
-    KMatrix,
-    algebra_span,
-    matrix_inverse,
-    operator_norm,
-    parse_matrix,
-)
+from .ultralinalg import KMatrix, algebra_span, operator_norm, parse_matrix
 
 SUITES = ("mihara", "spectral", "fourier", "crossed", "reduce", "baer", "all")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass
@@ -87,23 +70,13 @@ class RunConfig:
     def __post_init__(self):
         if self.j is None:
             self.j = self.k
-        if not _is_prime(self.p):
-            raise ConfigInvalid(f"p = {self.p} is not prime")
-        if not _is_prime(self.l):
-            raise ConfigInvalid(f"l = {self.l} is not prime")
-        if self.l == self.p:
-            raise ConfigInvalid("l must differ from p")
-        if not (1 <= self.j <= self.k):
-            raise ConfigInvalid(f"need 1 <= j <= k, got j={self.j}, k={self.k}")
-        if (self.p - 1) % (self.l**self.k) != 0:
-            raise ConfigInvalid(
-                f"l^k = {self.l**self.k} does not divide p - 1 = {self.p - 1}"
-            )
         if self.precision < 1:
             raise ConfigInvalid("precision must be positive")
+        # validates p, l, j and l^k | p - 1; shared by every check of the run
+        self._group = TruncatedGroup(self.l, self.k, self.j, self.p, self.precision)
 
     def group(self) -> TruncatedGroup:
-        return TruncatedGroup(self.l, self.k, self.j, self.p, self.precision)
+        return self._group
 
     def echo(self) -> dict:
         return {
@@ -145,77 +118,94 @@ def _exp_str(e) -> str:
     return "inf" if e == float("inf") else str(int(e))
 
 
-def _random_unit(p: int, rng: random.Random) -> PadicScalar:
-    u = rng.randint(1, 6 * p)
-    while u % p == 0:
-        u = rng.randint(1, 6 * p)
-    return PadicScalar.from_int(p, u)
-
-
-def _random_exact(p: int, rng: random.Random, vrange=(-2, 2)) -> PadicScalar:
-    v = rng.randint(*vrange)
-    u = rng.randint(1, 6 * p)
-    while u % p == 0:
-        u = rng.randint(1, 6 * p)
-    return PadicScalar.from_rational(p, Fraction(u) * Fraction(p) ** v)
-
-
 def _unimodular(p: int, n: int, rng: random.Random) -> tuple[KMatrix, KMatrix]:
-    """Random norm-1 matrix with norm-1 inverse (product of unipotents)."""
-    zero, one = PadicScalar.zero(p), PadicScalar.one(p)
+    """Random norm-1 matrix with norm-1 inverse (product of unipotents).
 
-    def unipotent(lower: bool) -> KMatrix:
+    A unipotent E has I - E nilpotent, so E^-1 = sum over k < n of (I - E)^k
+    and the inverse of Q = L U is U^-1 L^-1 without elimination.
+    """
+    zero, one = PadicScalar.zero(p), PadicScalar.one(p)
+    identity = KMatrix.identity(p, n)
+
+    def unipotent(lower: bool) -> tuple[KMatrix, KMatrix]:
         E = [[one if i == j else zero for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
                 if (i > j) if lower else (i < j):
                     E[i][j] = PadicScalar.from_int(p, rng.randint(-3 * p, 3 * p))
-        return KMatrix(p, E)
+        E = KMatrix(p, E)
+        nilpotent = identity - E
+        inv = term = identity
+        for _ in range(n - 1):
+            term = term @ nilpotent
+            inv = inv + term
+        return E, inv
 
-    Q = unipotent(True) @ unipotent(False)
-    return Q, matrix_inverse(Q)
+    L, L_inv = unipotent(True)
+    U, U_inv = unipotent(False)
+    Q, Q_inv = L @ U, U_inv @ L_inv
+    if not (Q @ Q_inv).equals(identity):
+        raise CertificationFailed("Q Q^-1 is not the identity")
+    return Q, Q_inv
+
+
+def _random_projection(p: int, n: int, rng: random.Random) -> KMatrix:
+    """Q D Q^-1 for a random unimodular Q and a random 0/1 diagonal D."""
+    Q, Q_inv = _unimodular(p, n, rng)
+    diag = [rng.randint(0, 1) for _ in range(n)]
+    zero, one = PadicScalar.zero(p), PadicScalar.one(p)
+    D = KMatrix(
+        p, [[one if (i == j and diag[i]) else zero for j in range(n)] for i in range(n)]
+    )
+    return Q @ D @ Q_inv
 
 
 def _mihara_matrix(p: int) -> KMatrix:
     return KMatrix.from_int_rows(p, [[p, p, 0], [0, p, 0], [0, 0, 1]])
 
 
-def _check(fn):
-    """Run one check body, mapping exceptions to an error report."""
-
-    def wrapped(config: RunConfig, *args) -> CheckReport:
-        start = time.monotonic()
-        try:
-            report = fn(config, *args)
-        except (AssertionError, CertificationFailed) as exc:
-            report = CheckReport(
-                fn.check_id, config.echo(), "fail", {"assertion": str(exc)}
-            )
-        except PadicopsError as exc:
-            report = CheckReport(
-                fn.check_id, config.echo(), "error",
-                {"exception": type(exc).__name__, "message": str(exc)},
-            )
-        report.wall_time_ms = 1000 * (time.monotonic() - start)
-        return report
-
-    wrapped.check_id = fn.check_id
-    return wrapped
-
-
 def _named(check_id):
+    """Decorator turning a check body into the check named check_id.
+
+    The body returns (status, detail).  The check times it and builds its
+    report; no other code builds a CheckReport.  CertificationFailed
+    becomes a "fail" whose detail is the failed claim, and any other
+    library error an "error" report.
+    """
+
     def deco(fn):
-        fn.check_id = check_id
-        return _check(fn)
+        def check(config: RunConfig, *args) -> CheckReport:
+            start = time.monotonic()
+            try:
+                status, detail = fn(config, *args)
+            except CertificationFailed as exc:
+                status, detail = "fail", {"assertion": str(exc)}
+            except PadicopsError as exc:
+                status = "error"
+                detail = {"exception": type(exc).__name__, "message": str(exc)}
+            elapsed_ms = 1000 * (time.monotonic() - start)
+            return CheckReport(check_id, config.echo(), status, detail, elapsed_ms)
+
+        check.check_id = check_id
+        return check
 
     return deco
+
+
+def _summary(results: list[CheckResult]) -> tuple[str, dict]:
+    """Verdict of a verify_* result list; details merge in order, later keys win."""
+    failed = [r.name for r in results if not r.passed]
+    detail = {"checks": len(results), "failed": failed}
+    for r in results:
+        detail.update(r.detail)
+    return ("fail" if failed else "pass"), detail
 
 
 # ---------------------------------------------------------------- mihara
 
 
 @_named("mihara.norm_identity_counterexample")
-def check_mihara_counterexample(config: RunConfig) -> CheckReport:
+def check_mihara_counterexample(config: RunConfig) -> tuple[str, dict]:
     p = config.p
     A = _mihara_matrix(p)
     one = PadicScalar.one(p)
@@ -238,60 +228,44 @@ def check_mihara_counterexample(config: RunConfig) -> CheckReport:
         and facts["qA_squared_is_zero"]
         and not verdict.holds
     )
-    return CheckReport(
-        check_mihara_counterexample.check_id,
-        config.echo(),
-        "pass" if ok else "fail",
-        facts,
-    )
+    return ("pass" if ok else "fail"), facts
 
 
 @_named("mihara.generated_algebra_dimension")
-def check_mihara_span(config: RunConfig) -> CheckReport:
-    p = config.p
-    A = _mihara_matrix(p)
+def check_mihara_span(config: RunConfig) -> tuple[str, dict]:
+    A = _mihara_matrix(config.p)
     alg = algebra_span([A], 3)
     ok = alg.dimension == 3 and alg.contains(A @ A)
-    return CheckReport(
-        check_mihara_span.check_id,
-        config.echo(),
-        "pass" if ok else "fail",
-        {"dimension": alg.dimension},
-    )
+    return ("pass" if ok else "fail"), {"dimension": alg.dimension}
 
 
 @_named("mihara.custom_matrix_norm_identity")
-def check_mihara_custom(config: RunConfig, payload: dict) -> CheckReport:
+def check_mihara_custom(config: RunConfig, payload: dict) -> tuple[str, dict]:
     p = config.p
     A = parse_matrix(p, payload["matrix"], config.precision)
     roots = [
         parse_scalar(p, r, config.precision) for r in payload.get("q_roots", [1, p])
     ]
     verdict = check_norm_identity(A, PolynomialOverK.from_roots(p, roots))
-    return CheckReport(
-        check_mihara_custom.check_id,
-        config.echo(),
-        "pass",
-        {
-            "identity_holds": verdict.holds,
-            "lhs_exponent": _exp_str(verdict.lhs),
-            "rhs_exponent": _exp_str(verdict.rhs),
-            "norm_exponent": _exp_str(operator_norm(A)),
-        },
-    )
+    return "pass", {
+        "identity_holds": verdict.holds,
+        "lhs_exponent": _exp_str(verdict.lhs),
+        "rhs_exponent": _exp_str(verdict.rhs),
+        "norm_exponent": _exp_str(operator_norm(A)),
+    }
 
 
 # --------------------------------------------------------------- spectral
 
 
 @_named("spectral.multiplication_operators")
-def check_multiplication_operators(config: RunConfig) -> CheckReport:
+def check_multiplication_operators(config: RunConfig) -> tuple[str, dict]:
     p = config.p
     rng = config.rng(check_multiplication_operators.check_id)
     n_ops = max(3, config.n_samples // 4)
     for trial in range(n_ops):
         n = rng.randint(2, 5)
-        values = [_random_exact(p, rng) for _ in range(n)]
+        values = [random_exact(p, rng) for _ in range(n)]
         A, data = multiplication_operator(
             values, verify=True, degree_bound=config.degree_bound, seed=rng.randrange(2**30)
         )
@@ -299,89 +273,61 @@ def check_multiplication_operators(config: RunConfig) -> CheckReport:
         for v in values:
             if not any(v.equals(s) for s in distinct):
                 distinct.append(v)
-        assert len(data.eigenvalues) == len(distinct), "spectrum != value set"
+        if len(data.eigenvalues) != len(distinct):
+            raise CertificationFailed("spectrum != value set")
         for E in data.projections:
-            assert is_orthoprojection(E, samples=10, seed=rng.randrange(2**30))
-    return CheckReport(
-        check_multiplication_operators.check_id,
-        config.echo(),
-        "pass",
-        {"operators_checked": n_ops},
-    )
+            if not is_orthoprojection(E, samples=10, seed=rng.randrange(2**30)):
+                raise CertificationFailed()
+    return "pass", {"operators_checked": n_ops}
 
 
 @_named("spectral.random_orthoprojections")
-def check_random_orthoprojections(config: RunConfig) -> CheckReport:
+def check_random_orthoprojections(config: RunConfig) -> tuple[str, dict]:
     p = config.p
     rng = config.rng(check_random_orthoprojections.check_id)
-    zero, one = PadicScalar.zero(p), PadicScalar.one(p)
     n_ops = max(5, config.n_samples // 2)
     for _ in range(n_ops):
-        n = rng.randint(2, 4)
-        Q, Qinv = _unimodular(p, n, rng)
-        diag = [rng.randint(0, 1) for _ in range(n)]
-        D = KMatrix(
-            p,
-            [
-                [one if (i == j and diag[i]) else zero for j in range(n)]
-                for i in range(n)
-            ],
-        )
-        P = Q @ D @ Qinv
-        assert is_orthoprojection(P, samples=10, seed=rng.randrange(2**30))
-    return CheckReport(
-        check_random_orthoprojections.check_id,
-        config.echo(),
-        "pass",
-        {"projections_checked": n_ops},
-    )
+        P = _random_projection(p, rng.randint(2, 4), rng)
+        if not is_orthoprojection(P, samples=10, seed=rng.randrange(2**30)):
+            raise CertificationFailed()
+    return "pass", {"projections_checked": n_ops}
 
 
 @_named("spectral.unbounded_idempotent_rejected")
-def check_unbounded_idempotent(config: RunConfig) -> CheckReport:
+def check_unbounded_idempotent(config: RunConfig) -> tuple[str, dict]:
     p = config.p
     P = parse_matrix(p, [["1", f"1/{p}"], ["0", "0"]], config.precision)
     rejected = not is_orthoprojection(P)
     idem = (P @ P).equals(P)
-    return CheckReport(
-        check_unbounded_idempotent.check_id,
-        config.echo(),
-        "pass" if (rejected and idem) else "fail",
-        {
-            "idempotent": idem,
-            "rejected": rejected,
-            "norm_exponent": _exp_str(operator_norm(P)),
-        },
-    )
+    return ("pass" if (rejected and idem) else "fail"), {
+        "idempotent": idem,
+        "rejected": rejected,
+        "norm_exponent": _exp_str(operator_norm(P)),
+    }
 
 
 @_named("spectral.normality_scan_clean_on_diagonal")
-def check_normality_scan(config: RunConfig) -> CheckReport:
+def check_normality_scan(config: RunConfig) -> tuple[str, dict]:
     p = config.p
     rng = config.rng(check_normality_scan.check_id)
     n = 4
     values = []
     while len(values) < n:
-        cand = _random_exact(p, rng)
+        cand = random_exact(p, rng)
         if all(cand.equals(v) is False for v in values):
             values.append(cand)
     A, data = multiplication_operator(values, verify=False)
     violations = normality_scan(
         A, config.degree_bound, data.eigenvalues, seed=rng.randrange(2**30)
     )
-    return CheckReport(
-        check_normality_scan.check_id,
-        config.echo(),
-        "pass" if violations == [] else "fail",
-        {"violations": len(violations)},
-    )
+    return ("pass" if violations == [] else "fail"), {"violations": len(violations)}
 
 
 # ---------------------------------------------------------------- fourier
 
 
 @_named("fourier.character_orthogonality")
-def check_character_orthogonality(config: RunConfig) -> CheckReport:
+def check_character_orthogonality(config: RunConfig) -> tuple[str, dict]:
     grp = config.group()
     p = grp.p
     for m in range(grp.order):
@@ -389,53 +335,46 @@ def check_character_orthogonality(config: RunConfig) -> CheckReport:
             f = [grp.zeta_pow((m - n) * a) for a in range(grp.order)]
             integral = haar_integrate(grp, f)
             expected = PadicScalar.one(p) if m == n else PadicScalar.zero(p)
-            assert (integral - expected).is_zero(), f"<g_{m}, g_{n}> wrong"
-    return CheckReport(
-        check_character_orthogonality.check_id,
-        config.echo(),
-        "pass",
-        {"pairs_checked": grp.order**2},
-    )
+            if not (integral - expected).is_zero():
+                raise CertificationFailed(f"<g_{m}, g_{n}> wrong")
+    return "pass", {"pairs_checked": grp.order**2}
 
 
 @_named("fourier.roundtrip_and_supnorm")
-def check_fourier_roundtrip(config: RunConfig) -> CheckReport:
+def check_fourier_roundtrip(config: RunConfig) -> tuple[str, dict]:
     grp = config.group()
     p = grp.p
     rng = config.rng(check_fourier_roundtrip.check_id)
     n_funcs = config.n_samples
     for _ in range(n_funcs):
         F = [
-            [_random_exact(p, rng) for _ in range(grp.order)]
+            [random_exact(p, rng) for _ in range(grp.order)]
             for _ in range(grp.s_size)
         ]
         coeffs = fourier_analyze(grp, F)
         back = fourier_synthesize(grp, coeffs)
         for x in range(grp.s_size):
             for a in range(grp.order):
-                assert (back[x][a] - F[x][a]).is_zero(), "roundtrip failed"
+                if not (back[x][a] - F[x][a]).is_zero():
+                    raise CertificationFailed("roundtrip failed")
         sup_F = max(abs_value_upper(v) for row in F for v in row)
         sup_coeff = max(
             (abs_value_upper(c) for row in coeffs for c in row if not c.is_zero()),
             default=Fraction(0),
         )
-        assert sup_F == sup_coeff, "sup-norm identity failed"
-    return CheckReport(
-        check_fourier_roundtrip.check_id,
-        config.echo(),
-        "pass",
-        {"functions_checked": n_funcs},
-    )
+        if sup_F != sup_coeff:
+            raise CertificationFailed("sup-norm identity failed")
+    return "pass", {"functions_checked": n_funcs}
 
 
 @_named("fourier.trig_poly_approximation")
-def check_trig_approx(config: RunConfig) -> CheckReport:
+def check_trig_approx(config: RunConfig) -> tuple[str, dict]:
     grp = config.group()
     p = grp.p
     rng = config.rng(check_trig_approx.check_id)
     n_funcs = max(5, config.n_samples // 4)
     for _ in range(n_funcs):
-        f = [_random_exact(p, rng) for _ in range(grp.order)]
+        f = [random_exact(p, rng) for _ in range(grp.order)]
         gamma = {
             i: Fraction(1, p ** rng.randint(0, 2 * (i % grp.k + 1)))
             for i in range(grp.order)
@@ -443,43 +382,22 @@ def check_trig_approx(config: RunConfig) -> CheckReport:
         w = WeightedSupNorm(gamma)
         eps = Fraction(1, p ** rng.randint(0, 3))
         approx = trig_poly_approx(grp, f, w, eps)
-        assert approx.achieved_error < eps
-    return CheckReport(
-        check_trig_approx.check_id,
-        config.echo(),
-        "pass",
-        {"functions_checked": n_funcs},
-    )
+        if not approx.achieved_error < eps:
+            raise CertificationFailed()
+    return "pass", {"functions_checked": n_funcs}
 
 
 # ---------------------------------------------------------------- crossed
 
 
 @_named("crossed.operator_identities")
-def check_operator_identities(config: RunConfig) -> CheckReport:
-    results = verify_operator_identities(config.group())
-    failed = [r.name for r in results if not r.passed]
-    return CheckReport(
-        check_operator_identities.check_id,
-        config.echo(),
-        "pass" if not failed else "fail",
-        {"checks": len(results), "failed": failed},
-    )
+def check_operator_identities(config: RunConfig) -> tuple[str, dict]:
+    return _summary(verify_operator_identities(config.group()))
 
 
 @_named("crossed.commutation_theorem")
-def check_commutation(config: RunConfig) -> CheckReport:
-    results = verify_commutation_theorem(config.group())
-    failed = [r.name for r in results if not r.passed]
-    detail = {"checks": len(results), "failed": failed}
-    for r in results:
-        detail.update(r.detail)
-    return CheckReport(
-        check_commutation.check_id,
-        config.echo(),
-        "pass" if not failed else "fail",
-        detail,
-    )
+def check_commutation(config: RunConfig) -> tuple[str, dict]:
+    return _summary(verify_commutation_theorem(config.group()))
 
 
 def _random_structured(grp: TruncatedGroup, rng: random.Random, idempotent: bool):
@@ -495,24 +413,13 @@ def _random_structured(grp: TruncatedGroup, rng: random.Random, idempotent: bool
         for m in range(grp.order):
             for n in range(grp.order):
                 if grp.in_g0(m - n) and rng.random() < 0.8:
-                    b[(m, n)] = _random_exact(p, rng, vrange=(0, 2))
+                    b[(m, n)] = random_exact(p, rng, vrange=(0, 2))
         return StructuredCommutantElement(grp, b)
     cosets: dict[int, list[int]] = {}
     for i in range(grp.order):
         cosets.setdefault(i % grp.g0_modulus, []).append(i)
-    zero, one = PadicScalar.zero(p), PadicScalar.one(p)
     for idx in cosets.values():
-        nblk = len(idx)
-        Q, Qinv = _unimodular(p, nblk, rng)
-        diag = [rng.randint(0, 1) for _ in range(nblk)]
-        D = KMatrix(
-            p,
-            [
-                [one if (r == c and diag[r]) else zero for c in range(nblk)]
-                for r in range(nblk)
-            ],
-        )
-        B = Q @ D @ Qinv
+        B = _random_projection(p, len(idx), rng)
         for r, m in enumerate(idx):
             for c, n in enumerate(idx):
                 if not B.entries[r][c].is_zero():
@@ -521,7 +428,7 @@ def _random_structured(grp: TruncatedGroup, rng: random.Random, idempotent: bool
 
 
 @_named("crossed.structured_idempotents")
-def check_structured_idempotents(config: RunConfig) -> CheckReport:
+def check_structured_idempotents(config: RunConfig) -> tuple[str, dict]:
     grp = config.group()
     rng = config.rng(check_structured_idempotents.check_id)
     n_elems = config.n_samples
@@ -531,39 +438,25 @@ def check_structured_idempotents(config: RunConfig) -> CheckReport:
         elem = _random_structured(grp, rng, idempotent=want_idem)
         verdict = idempotent_check(elem)
         if want_idem:
-            assert verdict.idempotent, "constructed idempotent not recognized"
+            if not verdict.idempotent:
+                raise CertificationFailed("constructed idempotent not recognized")
             idem_count += 1
-    return CheckReport(
-        check_structured_idempotents.check_id,
-        config.echo(),
-        "pass",
-        {"elements_checked": n_elems, "idempotents": idem_count},
-    )
+    return "pass", {"elements_checked": n_elems, "idempotents": idem_count}
 
 
 # ----------------------------------------------------------------- reduce
 
 
 @_named("reduce.crossed_product_reduction")
-def check_reduction(config: RunConfig) -> CheckReport:
-    results = verify_crossed_reduction(config.group())
-    failed = [r.name for r in results if not r.passed]
-    detail = {"checks": len(results), "failed": failed}
-    for r in results:
-        detail.update(r.detail)
-    return CheckReport(
-        check_reduction.check_id,
-        config.echo(),
-        "pass" if not failed else "fail",
-        detail,
-    )
+def check_reduction(config: RunConfig) -> tuple[str, dict]:
+    return _summary(verify_crossed_reduction(config.group()))
 
 
 # ------------------------------------------------------------------- baer
 
 
 @_named("baer.full_matrix_algebra_type_I")
-def check_full_matrix_baer(config: RunConfig) -> CheckReport:
+def check_full_matrix_baer(config: RunConfig) -> tuple[str, dict]:
     p = config.p
     basis = []
     for i in range(2):
@@ -575,36 +468,26 @@ def check_full_matrix_baer(config: RunConfig) -> CheckReport:
     report = is_baer(alg, budget=config.budget, seed=config.seed)
     typed = classify_type(alg, budget=config.budget, seed=config.seed, baer=report)
     ok = report.is_baer is True and typed.type_verdict == "I"
-    return CheckReport(
-        check_full_matrix_baer.check_id,
-        config.echo(),
-        "pass" if ok else "fail",
-        {
-            "mode": report.search_mode,
-            "type": typed.type_verdict,
-            "dedekind_finite": dedekind_finite_spotcheck(alg, 50, config.seed),
-        },
-    )
+    return ("pass" if ok else "fail"), {
+        "mode": report.search_mode,
+        "type": typed.type_verdict,
+        "dedekind_finite": dedekind_finite_spotcheck(alg, 50, config.seed),
+    }
 
 
 @_named("baer.dual_numbers_negative_control")
-def check_dual_numbers(config: RunConfig) -> CheckReport:
+def check_dual_numbers(config: RunConfig) -> tuple[str, dict]:
     p = config.p
     I2 = np.eye(2, dtype=np.int64)
     N = np.array([[0, 1], [0, 0]], dtype=np.int64)
     alg = FiniteAlgebra(p, 2, [I2, N])
     report = is_baer(alg, mode="exhaustive", budget=config.budget)
     ok = report.is_baer is False and report.failing_annihilator is not None
-    return CheckReport(
-        check_dual_numbers.check_id,
-        config.echo(),
-        "pass" if ok else "fail",
-        {
-            "witness_annihilator": [
-                w.tolist() for w in (report.failing_annihilator or [])
-            ]
-        },
-    )
+    return ("pass" if ok else "fail"), {
+        "witness_annihilator": [
+            w.tolist() for w in (report.failing_annihilator or [])
+        ]
+    }
 
 
 SUITE_CHECKS = {

@@ -35,7 +35,6 @@ from .ultralinalg import (
     algebra_span,
     center,
     commutant,
-    operator_norm,
     is_orthonormal,
 )
 
@@ -290,11 +289,13 @@ def idempotent_check(elem: StructuredCommutantElement) -> IdempotentVerdict:
     # cross-validate at the matrix level
     P = elem.to_matrix()
     matrix_idem = (P @ P).equals(P)
-    assert matrix_idem == idem, "coefficient/matrix idempotent verdicts disagree"
+    if matrix_idem != idem:
+        raise CertificationFailed("coefficient/matrix idempotent verdicts disagree")
     if idem:
         from .spectral import is_orthoprojection
 
-        assert is_orthoprojection(P, samples=10) == ortho
+        if is_orthoprojection(P, samples=10) != ortho:
+            raise CertificationFailed()
     return IdempotentVerdict(idem, ortho)
 
 

@@ -57,14 +57,6 @@ class IndexNotInG0(PadicopsError):
     """eta requested for a dual index outside the stabilizer-dual subgroup."""
 
 
-class NoValidSubgroup(PadicopsError):
-    """No finite dual subgroup satisfies the weighted tail bound.
-
-    Unreachable at finite level (the full dual always qualifies); kept so
-    the interface matches the infinite model.
-    """
-
-
 class BudgetExceeded(PadicopsError):
     """An exhaustive search exceeded its configured budget."""
 

@@ -77,15 +77,6 @@ def solve(M, b, p: int) -> np.ndarray | None:
     return x
 
 
-def in_rowspan(rows, v, p: int) -> bool:
-    """Is v in the row span of rows (mod p)?"""
-    rows = modmat(rows, p)
-    if rows.shape[0] == 0:
-        return not np.any(modmat(v, p))
-    stacked = np.vstack([rows, modmat(v, p).reshape(1, -1)])
-    return rank(stacked, p) == rank(rows, p)
-
-
 def span_equal(A, B, p: int) -> bool:
     """Do two row families span the same subspace of F_p^n?"""
     A = modmat(A, p)

@@ -14,9 +14,16 @@ of guessing.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
-from .errors import BadOrder, DivisionByZero, NotIntegral, PrecisionLoss
+from .errors import (
+    BadOrder,
+    CertificationFailed,
+    DivisionByZero,
+    NotIntegral,
+    PrecisionLoss,
+)
 
 INF = math.inf
 
@@ -132,13 +139,6 @@ class PadicScalar:
             return self.v + self.N
         return self.bound
 
-    def _residue_mod(self, pk: int, p_pow: int) -> int:
-        """Representative of self / p^shift ... full value mod p^pk.
-
-        Requires valuation >= 0 against the modulus; used by _add.
-        """
-        raise NotImplementedError
-
     def _to_unit_parts(self, N: int) -> tuple[int, int]:
         """(v, unit mod p^N) for a certified-nonzero element."""
         p = self.p
@@ -176,9 +176,6 @@ class PadicScalar:
                 return PadicScalar.zero(p)
             return PadicScalar.capped_zero(p, int(a))
         vmin = min(t.valuation() for t in terms)
-        if a == INF:
-            # both terms exact, unreachable here
-            raise AssertionError
         a = int(a)
         if vmin >= a:
             return PadicScalar.capped_zero(p, a)
@@ -265,82 +262,41 @@ class PadicScalar:
         return f"PadicScalar({self.p}, O({self.p}^{self.bound}))"
 
 
-class ResidueScalar:
-    """Element of the residue field F_p."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        self.p = p
-        self.value = value % p
-
-    def __add__(self, other):
-        return ResidueScalar(self.p, self.value + other.value)
-
-    def __sub__(self, other):
-        return ResidueScalar(self.p, self.value - other.value)
-
-    def __neg__(self):
-        return ResidueScalar(self.p, -self.value)
-
-    def __mul__(self, other):
-        return ResidueScalar(self.p, self.value * other.value)
-
-    def inverse(self):
-        if self.value == 0:
-            raise DivisionByZero("inverse of zero in F_p")
-        return ResidueScalar(self.p, pow(self.value, -1, self.p))
-
-    def __eq__(self, other):
-        return self.p == other.p and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __repr__(self):
-        return f"ResidueScalar({self.p}, {self.value})"
-
-
 # ----- module-level operations ------------------------------------------
 
 
-def field_arith(x: PadicScalar, y: PadicScalar | None, op: str) -> PadicScalar:
-    """Dispatch form of the field operations (add | mul | neg | inv)."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    if op == "inv":
-        return x.inverse()
-    raise ValueError(f"unknown op {op!r}")
+def random_exact(p: int, rng: random.Random, vrange=(-2, 2)) -> PadicScalar:
+    """Random exact scalar u * p^v, v drawn from vrange, u a unit in [1, 6p]."""
+    v = rng.randint(*vrange)
+    u = rng.randint(1, 6 * p)
+    while u % p == 0:
+        u = rng.randint(1, 6 * p)
+    return PadicScalar.from_rational(p, Fraction(u) * Fraction(p) ** v)
 
 
-def valuation(x: PadicScalar) -> Valuation:
-    return x.valuation()
+def reduce_residue(x: PadicScalar) -> int:
+    """Reduce an integral element to F_p, as an int in [0, p).
 
-
-def reduce_residue(x: PadicScalar) -> ResidueScalar:
-    """Reduce an integral element to F_p; ring homomorphism on v >= 0."""
+    A ring homomorphism on v >= 0 (with + and * taken mod p).
+    """
     p = x.p
     if x.kind == "exact":
         v = rational_valuation(p, x.frac)
         if v == INF:
-            return ResidueScalar(p, 0)
+            return 0
         if v < 0:
             raise NotIntegral(f"valuation {v} < 0")
         if v > 0:
-            return ResidueScalar(p, 0)
+            return 0
         num, den = x.frac.numerator, x.frac.denominator
-        return ResidueScalar(p, num * pow(den, -1, p))
+        return num * pow(den, -1, p) % p
     if x.kind == "unit":
         if x.v < 0:
             raise NotIntegral(f"valuation {x.v} < 0")
-        return ResidueScalar(p, x.unit if x.v == 0 else 0)
+        return x.unit % p if x.v == 0 else 0
     # zero to precision: residue is certified 0 only if v >= 1 is certified
     if x.bound >= 1:
-        return ResidueScalar(p, 0)
+        return 0
     raise PrecisionLoss("cannot certify v >= 0 for a zero-to-precision element")
 
 
@@ -390,9 +346,11 @@ def teichmuller_root(p: int, m: int, N: int = DEFAULT_PRECISION) -> PadicScalar:
             break
         c = c_next
     zeta = PadicScalar.capped(p, 0, c, N)
-    assert pow(c, m, modulus) == 1
+    if pow(c, m, modulus) != 1:
+        raise CertificationFailed()
     for q in _prime_factors(m):
-        assert pow(c, m // q, modulus) != 1
+        if pow(c, m // q, modulus) == 1:
+            raise CertificationFailed()
     return zeta
 
 

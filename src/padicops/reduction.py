@@ -25,7 +25,13 @@ from .crossed import (
     nu_basis,
     nu_change_of_basis,
 )
-from .errors import BudgetExceeded, NonConvergent, NotInUnitBall, PrecisionLoss
+from .errors import (
+    BudgetExceeded,
+    CertificationFailed,
+    NonConvergent,
+    NotInUnitBall,
+    PrecisionLoss,
+)
 from .padic import PadicScalar, reduce_residue
 from .report import CheckResult
 from .ultralinalg import KMatrix, MatrixAlgebra, is_orthonormal, operator_norm
@@ -37,7 +43,7 @@ def reduce_matrix(A: KMatrix) -> np.ndarray:
     if e < 0:
         raise NotInUnitBall(f"operator norm exponent {e} < 0")
     return np.array(
-        [[reduce_residue(a).value for a in row] for row in A.entries], dtype=np.int64
+        [[reduce_residue(a) for a in row] for row in A.entries], dtype=np.int64
     )
 
 
@@ -200,11 +206,14 @@ def left_annihilator(
             [alg.mul(s, B) for s in subset for B in alg.basis]
         )
         other = left_annihilator(alg, ideal, check_ideal=False)
-        assert fpalg.span_equal(
+        if not fpalg.span_equal(
             [x.reshape(-1) for x in out] or np.zeros((0, alg.n**2), dtype=np.int64),
             [x.reshape(-1) for x in other] or np.zeros((0, alg.n**2), dtype=np.int64),
             alg.p,
-        ), "annihilator of subset differs from annihilator of its right ideal"
+        ):
+            raise CertificationFailed(
+                "annihilator of subset differs from annihilator of its right ideal"
+            )
     return out
 
 
@@ -244,7 +253,8 @@ def _annihilator_generated_by_idempotent(
     e = np.zeros((alg.n, alg.n), dtype=np.int64)
     for c, Lj in zip(sol, L):
         e = (e + int(c) * Lj) % alg.p
-    assert np.array_equal(alg.mul(e, e), e)
+    if not np.array_equal(alg.mul(e, e), e):
+        raise CertificationFailed()
     return e
 
 

@@ -1,4 +1,4 @@
-"""Shared check-report structures serialized by the CLI."""
+"""Per-statement verdicts of the library's verify_* functions."""
 
 from __future__ import annotations
 
@@ -12,9 +12,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def all_passed(results: list[CheckResult]) -> bool:

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CertificationFailed,
     MissingValue,
     NotCommuting,
     NotDiagonalizable,
     RepeatedEigenvalue,
 )
-from .padic import PadicScalar
+from .padic import PadicScalar, random_exact
 from .ultralinalg import INF, KMatrix, NormExponent, operator_norm
 
 
@@ -73,23 +74,26 @@ class SpectralData:
     projections: list[KMatrix]
 
     def verify(self, A: KMatrix | None = None) -> None:
-        """Assert partition of unity, orthogonality, and reconstruction."""
+        """Certify partition of unity, orthogonality, and reconstruction."""
         p = self.projections[0].p
         n = self.projections[0].rows
         total = KMatrix.zeros(p, n)
         for E in self.projections:
             total = total + E
-        assert total.equals(KMatrix.identity(p, n)), "sum of projections != I"
+        if not total.equals(KMatrix.identity(p, n)):
+            raise CertificationFailed("sum of projections != I")
         for i, Ei in enumerate(self.projections):
             for j, Ej in enumerate(self.projections):
                 prod = Ei @ Ej
                 expected = Ei if i == j else KMatrix.zeros(p, n)
-                assert prod.equals(expected), "projections not mutually orthogonal"
+                if not prod.equals(expected):
+                    raise CertificationFailed("projections not mutually orthogonal")
         if A is not None:
             recon = KMatrix.zeros(p, n)
             for lam, E in zip(self.eigenvalues, self.projections):
                 recon = recon + E.scale(lam)
-            assert recon.equals(A), "spectral reconstruction failed"
+            if not recon.equals(A):
+                raise CertificationFailed("spectral reconstruction failed")
 
 
 def check_norm_identity(A: KMatrix, q: PolynomialOverK) -> NormIdentityVerdict:
@@ -99,15 +103,6 @@ def check_norm_identity(A: KMatrix, q: PolynomialOverK) -> NormIdentityVerdict:
     eB2 = operator_norm(B @ B)
     rhs = eB * 2 if eB != INF else INF
     return NormIdentityVerdict(holds=(eB2 == rhs), lhs=eB2, rhs=rhs)
-
-
-def _random_scalar(p: int, rng: random.Random) -> PadicScalar:
-    """Random exact coefficient u * p^v with v in [-2, 2]."""
-    v = rng.randint(-2, 2)
-    u = rng.randint(1, 6 * p)
-    while u % p == 0:
-        u = rng.randint(1, 6 * p)
-    return PadicScalar.from_rational(p, Fraction(u) * Fraction(p) ** v)
 
 
 def normality_scan(
@@ -136,7 +131,7 @@ def normality_scan(
     rng = random.Random(seed)
     for _ in range(n_random):
         deg = rng.randint(1, degree_bound)
-        coeffs = [_random_scalar(p, rng) for _ in range(deg)]
+        coeffs = [random_exact(p, rng) for _ in range(deg)]
         coeffs.append(PadicScalar.one(p))
         q = PolynomialOverK(coeffs)
         verdict = check_norm_identity(A, q)
@@ -222,7 +217,7 @@ def is_orthoprojection(P: KMatrix, samples: int = 50, seed: int = 0) -> bool:
     """Idempotent of norm 1 (or zero).
 
     For a nontrivial accepted P, the norm identity
-    ||aP + b(I-P)|| = max(|a|, |b|) is additionally asserted on sampled
+    ||aP + b(I-P)|| = max(|a|, |b|) is additionally certified on sampled
     (a, b) pairs, including the equal-valuation case.
     """
     p, n = P.p, P.rows
@@ -239,7 +234,10 @@ def is_orthoprojection(P: KMatrix, samples: int = 50, seed: int = 0) -> bool:
     rng = random.Random(seed)
     for a, b, expected in _valuation_pairs(p, rng, samples):
         e = operator_norm(P.scale(a) + Q.scale(b))
-        assert e == expected, f"||aP+b(I-P)|| exponent {e} != min(v) {expected}"
+        if e != expected:
+            raise CertificationFailed(
+                f"||aP+b(I-P)|| exponent {e} != min(v) {expected}"
+            )
     return True
 
 
@@ -274,7 +272,8 @@ def multiplication_operator(
     data = SpectralData(spectrum, projections)
     data.verify(A)
     if verify:
-        assert normality_scan(A, degree_bound, spectrum, seed=seed) == []
+        if normality_scan(A, degree_bound, spectrum, seed=seed) != []:
+            raise CertificationFailed()
     return A, data
 
 
@@ -303,11 +302,14 @@ def joint_spectral_measure(
     total = KMatrix.zeros(p, n)
     for _, E in joint:
         total = total + E
-        assert is_orthoprojection(E, samples=10)
-    assert total.equals(KMatrix.identity(p, n))
+        if not is_orthoprojection(E, samples=10):
+            raise CertificationFailed()
+    if not total.equals(KMatrix.identity(p, n)):
+        raise CertificationFailed()
     for idx, A in enumerate(family):
         recon = KMatrix.zeros(p, n)
         for tup, E in joint:
             recon = recon + E.scale(tup[idx])
-        assert recon.equals(A)
+        if not recon.equals(A):
+            raise CertificationFailed()
     return joint

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from . import fpalg
-from .errors import CertificationFailed, NotUnitNorm, PrecisionLoss
+from .errors import NotUnitNorm, PrecisionLoss
 from .padic import PadicScalar, reduce_residue
 
 INF = math.inf
@@ -44,9 +44,6 @@ class KMatrix:
         m = n if m is None else m
         zero = PadicScalar.zero(p)
         return cls(p, [[zero] * m for _ in range(n)])
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
 
     def __add__(self, other: "KMatrix") -> "KMatrix":
         return KMatrix(
@@ -92,16 +89,6 @@ class KMatrix:
                         orow[j] = orow[j] + a * b
         return KMatrix(p, out)
 
-    def __pow__(self, n: int) -> "KMatrix":
-        result = KMatrix.identity(self.p, self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result
-
     def apply(self, vec: list[PadicScalar]) -> list[PadicScalar]:
         zero = PadicScalar.zero(self.p)
         out = []
@@ -137,41 +124,6 @@ class KMatrix:
         return f"KMatrix({self.p}, {self.rows}x{self.cols})"
 
 
-def matrix_inverse(A: KMatrix) -> KMatrix:
-    """Gauss-Jordan inverse with max-norm (minimal valuation) pivoting."""
-    p, n = A.p, A.rows
-    zero = PadicScalar.zero(p)
-    one = PadicScalar.one(p)
-    aug = [
-        [A.entries[i][j] for j in range(n)]
-        + [one if i == j else zero for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot_row = None
-        pivot_val = None
-        for r in range(col, n):
-            x = aug[r][col]
-            if x.is_certified_nonzero():
-                v = x.valuation()
-                if pivot_val is None or v < pivot_val:
-                    pivot_row, pivot_val = r, v
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_piv = aug[col][col].inverse()
-        aug[col] = [x * inv_piv for x in aug[col]]
-        for r in range(n):
-            if r == col or aug[r][col].is_zero():
-                continue
-            factor = aug[r][col]
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inv = KMatrix(p, [row[n:] for row in aug])
-    if not (A @ inv).equals(KMatrix.identity(p, n)):
-        raise CertificationFailed("matrix inversion failed")
-    return inv
-
-
 def vec_norm_exponent(vec) -> NormExponent:
     """Sup-norm exponent of a scalar family: min certified valuation."""
     certified = INF
@@ -203,7 +155,7 @@ def is_orthonormal(vectors: list[list[PadicScalar]]) -> bool:
         e = vec_norm_exponent(v)
         if e != 0:
             raise NotUnitNorm(f"vector has norm exponent {e}, expected 0")
-        reduced.append([reduce_residue(a).value for a in v])
+        reduced.append([reduce_residue(a) for a in v])
     return fpalg.rank(reduced, p) == len(vectors)
 
 
@@ -295,15 +247,13 @@ def dense_to_sparse(vec) -> dict[int, PadicScalar]:
 class MatrixAlgebra:
     """Unital subalgebra of n x n matrices, held by a spanning basis."""
 
-    def __init__(self, p: int, n: int, basis: list[KMatrix], check_closed: bool = False):
+    def __init__(self, p: int, n: int, basis: list[KMatrix]):
         self.p = p
         self.n = n
         self.basis = basis
         self._echelon = Echelon(p)
         for B in basis:
             self._echelon.insert(dense_to_sparse(B.as_vector()))
-        if check_closed:
-            assert self.is_closed(), "basis does not span a closed algebra"
 
     @property
     def dimension(self) -> int:

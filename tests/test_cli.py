@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +11,20 @@ from padicops.cli import CheckReport, RunConfig, _named, run_suite
 from padicops.errors import CertificationFailed, ConfigInvalid
 
 
-def run_cli(*args):
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def run_cli(*args, optimize=False):
     return subprocess.run(
-        [sys.executable, "-m", "padicops.cli", *args],
+        [sys.executable, *(["-O"] if optimize else []), "-m", "padicops.cli", *args],
         capture_output=True,
         text=True,
     )
+
+
+def render(report_list):
+    """A report list as ``main`` prints it."""
+    return json.dumps(report_list, indent=2, sort_keys=True)
 
 
 class TestRunConfig:
@@ -30,6 +39,14 @@ class TestRunConfig:
     def test_nonprime_rejected(self):
         with pytest.raises(ConfigInvalid):
             RunConfig(p=9)
+
+    def test_precision_checked_before_group_is_built(self):
+        with pytest.raises(ConfigInvalid, match="precision must be positive"):
+            RunConfig(p=5, l=2, k=2, precision=0)
+
+    def test_group_built_once_per_config(self):
+        config = RunConfig(p=5, l=2, k=2)
+        assert config.group() is config.group()
 
     def test_derived_rng_streams_are_stable(self):
         config = RunConfig(p=3, seed=7)
@@ -67,6 +84,24 @@ class TestRunSuite:
         report = CheckReport("x", {}, "pass", {}, wall_time_ms=12.5)
         assert "wall_time" not in json.dumps(report.as_dict())
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "workload, config, suite",
+        [
+            ("exact-small", (3, 2, 1, 1), "mihara"),
+            ("exact-small", (3, 2, 1, 1), "spectral"),
+            ("exact-small", (3, 2, 1, 1), "fourier"),
+            ("exact-small", (3, 2, 1, 1), "baer"),
+            ("reduce-16", (5, 2, 2, 2), "reduce"),
+        ],
+    )
+    def test_reports_match_golden_bytes(self, workload, config, suite, seed):
+        p, l, k, j = config
+        golden = json.loads((GOLDEN / workload / f"seed-{seed}.json").read_text())
+        expected = golden[f"{suite}@p={p},l={l},k={k},j={j}"]
+        reports = run_suite(RunConfig(p=p, l=l, k=k, j=j, seed=seed), suite)
+        assert render([r.as_dict() for r in reports]) == render(expected)
+
 
 class TestCommandLine:
     def test_golden_run_all_suites(self, tmp_path):
@@ -89,6 +124,18 @@ class TestCommandLine:
             assert proc.returncode == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_verdicts_survive_optimize_flag(self):
+        """No verdict rests on assert, so python -O reports the same."""
+        args = ("--p", "5", "--l", "2", "--k", "2", "--precision", "1", "--suite", "all")
+        plain, optimized = run_cli(*args), run_cli(*args, optimize=True)
+        statuses = [
+            [(r["check_id"], r["status"]) for r in json.loads(proc.stdout)]
+            for proc in (plain, optimized)
+        ]
+        assert statuses[0] == statuses[1]
+        assert any(status != "pass" for _, status in statuses[0])
+        assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
 
     def test_invalid_config_exit_code(self):
         proc = run_cli("--p", "5", "--l", "2", "--k", "3")
