@@ -295,7 +295,7 @@ def idempotent_check(elem: StructuredCommutantElement) -> IdempotentVerdict:
         from .spectral import is_orthoprojection
 
         if is_orthoprojection(P, samples=10) != ortho:
-            raise CertificationFailed()
+            raise CertificationFailed("coefficient/matrix orthoprojection verdicts disagree")
     return IdempotentVerdict(idem, ortho)
 
 

@@ -347,10 +347,14 @@ def teichmuller_root(p: int, m: int, N: int = DEFAULT_PRECISION) -> PadicScalar:
         c = c_next
     zeta = PadicScalar.capped(p, 0, c, N)
     if pow(c, m, modulus) != 1:
-        raise CertificationFailed()
+        raise CertificationFailed(
+            f"Teichmuller lift is not a root of unity of order dividing {m}"
+        )
     for q in _prime_factors(m):
         if pow(c, m // q, modulus) == 1:
-            raise CertificationFailed()
+            raise CertificationFailed(
+                f"Teichmuller lift has order dividing {m // q}, not exactly {m}"
+            )
     return zeta
 
 

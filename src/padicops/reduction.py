@@ -9,12 +9,13 @@ by exact linear algebra and search for a faithful abelian idempotent.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from . import fpalg
 from .charduals import TruncatedGroup
@@ -49,7 +50,12 @@ def reduce_matrix(A: KMatrix) -> np.ndarray:
 
 @dataclass
 class FiniteAlgebra:
-    """Algebra over F_p spanned by a basis of n x n residue matrices."""
+    """Algebra over F_p spanned by a basis of n x n residue matrices.
+
+    The basis is stored once, as the rows of the (dim, n^2) array
+    ``stack``; ``basis`` lists its rows as n x n views.  An element's
+    coordinates c give the matrix c @ stack.
+    """
 
     p: int
     n: int
@@ -57,23 +63,30 @@ class FiniteAlgebra:
     unital: bool = True
 
     def __post_init__(self):
-        self.basis = [fpalg.modmat(B, self.p) for B in self.basis]
+        self.stack = fpalg.modmat(np.reshape(self.basis, (-1, self.n**2)), self.p)
+        self.basis = list(self.stack.reshape(-1, self.n, self.n))
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def _stack(self) -> np.ndarray:
-        return np.array([B.reshape(-1) for B in self.basis], dtype=np.int64)
-
     def element(self, coords) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=np.int64)
-        for c, B in zip(coords, self.basis):
-            out = (out + int(c) * B) % self.p
-        return out
+        return (np.asarray(coords, dtype=np.int64) @ self.stack % self.p).reshape(
+            self.n, self.n
+        )
+
+    def linear_map(self, f) -> np.ndarray:
+        """Matrix over F_p of a linear map f on coordinates.
+
+        f is evaluated once on the (dim, n, n) array of basis matrices
+        and must keep the basis index as the first axis of its result;
+        column i of the returned matrix is f(B_i), flattened.
+        """
+        images = np.asarray(f(self.stack.reshape(-1, self.n, self.n)), dtype=np.int64)
+        return images.reshape(len(images), math.prod(images.shape[1:])).T % self.p
 
     def coordinates(self, M) -> np.ndarray | None:
-        return fpalg.solve(self._stack().T, fpalg.modmat(M, self.p).reshape(-1), self.p)
+        return fpalg.solve(self.stack.T, fpalg.modmat(M, self.p).reshape(-1), self.p)
 
     def contains(self, M) -> bool:
         return self.coordinates(M) is not None
@@ -93,20 +106,9 @@ class FiniteAlgebra:
         return ok
 
     def iter_elements(self):
-        """All p^dim elements; caller must keep dim small."""
-        d = self.dimension
-        coords = [0] * d
-        while True:
-            yield self.element(coords)
-            i = 0
-            while i < d:
-                coords[i] += 1
-                if coords[i] < self.p:
-                    break
-                coords[i] = 0
-                i += 1
-            if i == d:
-                return
+        """All p^dim elements, first coordinate fastest; caller must keep dim small."""
+        for coords in itertools.product(range(self.p), repeat=self.dimension):
+            yield self.element(coords[::-1])
 
     def subspace_basis(self, elements) -> list[np.ndarray]:
         """Independent spanning subset (as rref rows lifted back to matrices)."""
@@ -187,19 +189,12 @@ def left_annihilator(
     Coincides with the left annihilator of the right ideal generated by
     the subset (verified when check_ideal is set).
     """
-    d = alg.dimension
-    rows = []
-    for s in subset:
-        s = fpalg.modmat(s, alg.p)
-        # coefficient of c_i in (sum c_i B_i) s = 0
-        cols = [(alg.mul(B, s)).reshape(-1) for B in alg.basis]
-        block = np.array(cols, dtype=np.int64).T  # (n^2, d)
-        rows.append(block)
-    if rows:
-        system = np.vstack(rows)
-    else:
-        system = np.zeros((0, d), dtype=np.int64)
-    sols = fpalg.nullspace(system, alg.p)
+    # (sum c_i B_i) s = 0 for every s at once: x [s_1 | s_2 | ...] = 0
+    S = np.hstack(
+        [fpalg.modmat(s, alg.p) for s in subset]
+        or [np.zeros((alg.n, 0), dtype=np.int64)]
+    )
+    sols = fpalg.nullspace(alg.linear_map(lambda X: X @ S), alg.p)
     out = [alg.element(c) for c in sols]
     if check_ideal and subset:
         ideal = alg.subspace_basis(
@@ -238,23 +233,15 @@ def _annihilator_generated_by_idempotent(
     """
     if not L:
         return np.zeros((alg.n, alg.n), dtype=np.int64)
-    m = len(L)
-    blocks = []
-    targets = []
-    for b in L:
-        cols = [alg.mul(b, Lj).reshape(-1) for Lj in L]
-        blocks.append(np.array(cols, dtype=np.int64).T)
-        targets.append(fpalg.modmat(b, alg.p).reshape(-1))
-    system = np.vstack(blocks)
-    rhs = np.concatenate(targets)
-    sol = fpalg.solve(system, rhs, alg.p)
+    span = FiniteAlgebra(alg.p, alg.n, L, unital=False)
+    # e = sum c_j L_j with b e = b for each b in L: column j is (b L_j)_b
+    system = span.linear_map(lambda X: X[None] @ X[:, None])
+    sol = fpalg.solve(system, span.stack.reshape(-1), alg.p)
     if sol is None:
         return None
-    e = np.zeros((alg.n, alg.n), dtype=np.int64)
-    for c, Lj in zip(sol, L):
-        e = (e + int(c) * Lj) % alg.p
+    e = span.element(sol)
     if not np.array_equal(alg.mul(e, e), e):
-        raise CertificationFailed()
+        raise CertificationFailed("right identity of an annihilator is not idempotent")
     return e
 
 
@@ -342,48 +329,51 @@ def is_baer(
     return BaerReport(True, mode, detail={"annihilators_tested": len(seen)})
 
 
-def _min_poly(alg: FiniteAlgebra, x: np.ndarray) -> list[int]:
-    """Monic minimal polynomial of x over F_p, low degree first."""
+def _power(X: np.ndarray, k: int, p: int) -> np.ndarray:
+    """X^k mod p by repeated squaring, for one matrix or a stack of them."""
+    out = np.broadcast_to(np.eye(X.shape[-1], dtype=np.int64), X.shape)
+    X = fpalg.modmat(X, p)
+    while k:
+        if k & 1:
+            out = out @ X % p
+        X = X @ X % p
+        k >>= 1
+    return out
+
+
+def _frobenius_split(alg: FiniteAlgebra, C: FiniteAlgebra) -> list[np.ndarray]:
+    """Primitive idempotents of a commutative subalgebra C of alg.
+
+    y -> y^p is linear on C, and its fixed points are exactly the span
+    of the primitive idempotents (Berlekamp).  On such a y, 1 - (y - a)^(p-1)
+    is the idempotent where y takes the value a, so splitting 1 by each
+    fixed y of a basis leaves the primitive idempotents, plus 1 - u when
+    C does not contain 1 (u the sum of the primitives); that piece kills
+    every y and is dropped.
+    """
     p = alg.p
-    powers = [np.eye(alg.n, dtype=np.int64) % p]
-    while True:
-        stack = np.array([M.reshape(-1) for M in powers], dtype=np.int64)
-        nxt = alg.mul(powers[-1], x)
-        sol = fpalg.solve(stack.T, nxt.reshape(-1), p)
-        if sol is not None:
-            coeffs = [(-int(c)) % p for c in sol] + [1]
-            return coeffs
-        powers.append(nxt)
+    one = alg.identity_element()
+    fixed = fpalg.nullspace(C.linear_map(lambda X: _power(X, p, p) - X), p)
+    ys = [C.element(c) for c in fixed]
+    pieces = [one]
+    for y in ys:
+        parts = [(one - _power(y - a * one, p - 1, p)) % p for a in range(p)]
+        pieces = [e @ part % p for e in pieces for part in parts]
+        pieces = [e for e in pieces if np.any(e)]
+    return [e for e in pieces if any(np.any(e @ y % p) for y in ys)]
 
 
 def _poly_idempotents(alg: FiniteAlgebra, x: np.ndarray) -> list[np.ndarray]:
-    """Primitive idempotents of F_p[x] when the minimal polynomial splits
-    squarefreely; empty list otherwise."""
+    """Primitive idempotents of F_p[x] when the minimal polynomial is
+    squarefree; empty list otherwise."""
     p = alg.p
-    coeffs = _min_poly(alg, x)
-    t = sympy.symbols("t")
-    poly = sympy.Poly(list(reversed(coeffs)), t, modulus=p)
-    factors = sympy.factor_list(poly, modulus=p)[1]
-    if any(mult > 1 for _, mult in factors):
+    # I, x, ..., x^(n-1) span F_p[x] by Cayley-Hamilton
+    powers = [_power(x, k, p) for k in range(alg.n)]
+    Fx = FiniteAlgebra(p, alg.n, alg.subspace_basis(powers))
+    # F_p[t]/(m) has no nilpotents, so y -> y^p is injective, iff m is squarefree
+    if fpalg.rank(Fx.linear_map(lambda X: _power(X, p, p)), p) < Fx.dimension:
         return []
-    out = []
-    for fac, _ in factors:
-        rest = sympy.Poly(1, t, modulus=p)
-        for other, _ in factors:
-            if other != fac:
-                rest = rest * other
-        # e = rest * (rest^-1 mod fac) is 1 mod fac and 0 mod the rest
-        inv = sympy.Poly(rest, t, modulus=p).invert(fac)
-        e_poly = (rest * inv) % poly
-        e = np.zeros((alg.n, alg.n), dtype=np.int64)
-        acc = np.eye(alg.n, dtype=np.int64)
-        coeff_list = list(reversed(e_poly.all_coeffs()))
-        for c in coeff_list:
-            e = (e + int(c) % p * acc) % p
-            acc = alg.mul(acc, x)
-        if np.array_equal(alg.mul(e, e), e):
-            out.append(e)
-    return out
+    return _frobenius_split(alg, Fx)
 
 
 def _compressed_basis(alg: FiniteAlgebra, e: np.ndarray) -> list[np.ndarray]:
@@ -400,52 +390,23 @@ def _is_commutative(alg: FiniteAlgebra, basis: list[np.ndarray]) -> bool:
 
 def compute_center(alg: FiniteAlgebra) -> list[np.ndarray]:
     """Basis of the center as elements of the algebra."""
-    d = alg.dimension
-    rows = []
-    for B in alg.basis:
-        cols = [
-            ((alg.mul(Bi, B) - alg.mul(B, Bi)) % alg.p).reshape(-1)
-            for Bi in alg.basis
-        ]
-        rows.append(np.array(cols, dtype=np.int64).T)
-    system = np.vstack(rows) if rows else np.zeros((0, d), dtype=np.int64)
+    # x B_j - B_j x = 0 for every j: column i is (B_i B_j - B_j B_i)_j
+    system = alg.linear_map(lambda X: X[:, None] @ X[None] - X[None] @ X[:, None])
     return [alg.element(c) for c in fpalg.nullspace(system, alg.p)]
 
 
-def _central_primitive_idempotents(
-    alg: FiniteAlgebra, budget: int = 100_000, seed: int = 0
-) -> list[np.ndarray]:
-    """Primitive idempotents of the center.
-
-    Enumerates the center when small; otherwise splits the minimal
-    polynomial of a random central element.
-    """
-    p = alg.p
-    center = compute_center(alg)
-    sub = FiniteAlgebra(p, alg.n, alg.subspace_basis(center), unital=False)
-    idempotents: list[np.ndarray] = []
-    if p**sub.dimension <= budget:
-        for z in sub.iter_elements():
-            if np.any(z) and np.array_equal(alg.mul(z, z), z):
-                idempotents.append(z)
-    else:
-        rng = random.Random(seed)
-        for _ in range(50):
-            z = sub.element([rng.randrange(p) for _ in range(sub.dimension)])
-            for e in _poly_idempotents(alg, z):
-                if np.any(e) and not any(np.array_equal(e, f) for f in idempotents):
-                    idempotents.append(e)
-    # keep the minimal ones (primitive): e minimal if no other f <= e, f != e
-    primitive = []
-    for e in idempotents:
-        strictly_below = [
-            f
-            for f in idempotents
-            if not np.array_equal(f, e) and np.array_equal(alg.mul(e, f), f)
-        ]
-        if not strictly_below:
-            primitive.append(e)
-    return primitive
+def _central_primitive_idempotents(alg: FiniteAlgebra) -> list[np.ndarray]:
+    """Primitive idempotents of the center, certified central and idempotent."""
+    center = FiniteAlgebra(
+        alg.p, alg.n, alg.subspace_basis(compute_center(alg)), unital=False
+    )
+    primitives = _frobenius_split(alg, center)
+    for e in primitives:
+        if not (np.array_equal(alg.mul(e, e), e) and center.contains(e)):
+            raise CertificationFailed(
+                "central primitive idempotent is not an idempotent of the center"
+            )
+    return primitives
 
 
 def central_cover_is_one(alg: FiniteAlgebra, e: np.ndarray, primitives) -> bool:
@@ -472,7 +433,7 @@ def classify_type(
     report = baer if baer is not None else is_baer(alg, budget=budget, seed=seed)
     if report.is_baer is False:
         return report
-    primitives = _central_primitive_idempotents(alg, seed=seed)
+    primitives = _central_primitive_idempotents(alg)
     rng = random.Random(seed)
     block_witnesses = []
     for z in primitives:
@@ -530,26 +491,21 @@ def dedekind_finite_spotcheck(alg: FiniteAlgebra, trials: int = 200, seed: int =
     """xy = 1 implies yx = 1 on random invertible x (regular representation)."""
     rng = random.Random(seed)
     one = alg.identity_element()
-    one_coords = alg.coordinates(one)
-    if one_coords is None:
+    if not alg.contains(one):
         raise ValueError("algebra is not unital")
+    if not alg.is_closed():
+        raise ValueError("algebra not closed under multiplication")
     d = alg.dimension
     checked = 0
     attempts = 0
     while checked < trials and attempts < 20 * trials:
         attempts += 1
         x = alg.element([rng.randrange(alg.p) for _ in range(d)])
-        # right-multiplication operator on coordinates
-        cols = [alg.coordinates(alg.mul(B, x)) for B in alg.basis]
-        if any(c is None for c in cols):
-            raise ValueError("algebra not closed under multiplication")
-        R = np.array(cols, dtype=np.int64).T
-        sol = fpalg.solve(R, one_coords, alg.p)  # y with y x = 1? solve c: coords
+        # y = sum c_i B_i with y x = 1
+        sol = fpalg.solve(alg.linear_map(lambda X: X @ x), one.reshape(-1), alg.p)
         if sol is None:
             continue
         y = alg.element(sol)
-        if not np.array_equal(alg.mul(y, x), one):
-            continue
         if not np.array_equal(alg.mul(x, y), one):
             return False
         checked += 1
@@ -625,7 +581,7 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
     results.append(
         CheckResult(
             "reduced_and_coefficient_algebras_same_dimension",
-            len(fpalg.rref(np.array([b.reshape(-1) for b in reduced_coeffs]), p)[1])
+            fpalg.rank(coeff_alg.stack, p)
             == reduced.dimension
             == len(lattice.basis),
             {"dim": reduced.dimension},

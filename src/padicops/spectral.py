@@ -273,7 +273,9 @@ def multiplication_operator(
     data.verify(A)
     if verify:
         if normality_scan(A, degree_bound, spectrum, seed=seed) != []:
-            raise CertificationFailed()
+            raise CertificationFailed(
+                "normality scan of a multiplication operator found a defect"
+            )
     return A, data
 
 
@@ -303,13 +305,15 @@ def joint_spectral_measure(
     for _, E in joint:
         total = total + E
         if not is_orthoprojection(E, samples=10):
-            raise CertificationFailed()
+            raise CertificationFailed("joint spectral projection is not an orthoprojection")
     if not total.equals(KMatrix.identity(p, n)):
-        raise CertificationFailed()
+        raise CertificationFailed("joint spectral projections do not sum to the identity")
     for idx, A in enumerate(family):
         recon = KMatrix.zeros(p, n)
         for tup, E in joint:
             recon = recon + E.scale(tup[idx])
         if not recon.equals(A):
-            raise CertificationFailed()
+            raise CertificationFailed(
+                f"family member {idx} differs from its joint spectral decomposition"
+            )
     return joint
