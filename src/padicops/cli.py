@@ -239,6 +239,31 @@ def check_mihara_span(config: RunConfig) -> tuple[str, dict]:
     return ("pass" if ok else "fail"), {"dimension": alg.dimension}
 
 
+def validate_payload(payload) -> None:
+    """Check the shape of the --input payload before any check runs.
+
+    It must be an object whose "matrix" is a non-empty square list of
+    rows, and whose optional "q_roots" is a list; raises ConfigInvalid
+    otherwise.
+    """
+    if not isinstance(payload, dict) or "matrix" not in payload:
+        raise ConfigInvalid('input must be a JSON object with a "matrix" entry')
+    grid = payload["matrix"]
+    if not isinstance(grid, list) or not grid:
+        raise ConfigInvalid("input matrix must be a non-empty list of rows")
+    if not all(isinstance(row, list) for row in grid):
+        raise ConfigInvalid("input matrix rows must be lists")
+    widths = {len(row) for row in grid}
+    if len(widths) != 1:
+        raise ConfigInvalid(f"input matrix rows have unequal lengths {sorted(widths)}")
+    if widths != {len(grid)}:
+        raise ConfigInvalid(
+            f"input matrix is {len(grid)}x{len(grid[0])}, not square"
+        )
+    if not isinstance(payload.get("q_roots", []), list):
+        raise ConfigInvalid("input q_roots must be a list")
+
+
 @_named("mihara.custom_matrix_norm_identity")
 def check_mihara_custom(config: RunConfig, payload: dict) -> tuple[str, dict]:
     p = config.p
@@ -559,14 +584,17 @@ def main(argv=None) -> int:
             seed=args.seed,
             budget=args.budget,
         )
+        payload = None
+        if args.input:
+            with open(args.input) as fh:
+                try:
+                    payload = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ConfigInvalid(f"input is not valid JSON: {exc}") from exc
+            validate_payload(payload)
     except ConfigInvalid as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-
-    payload = None
-    if args.input:
-        with open(args.input) as fh:
-            payload = json.load(fh)
 
     reports = run_suite(config, args.suite, payload)
     body = json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True)

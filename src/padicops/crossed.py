@@ -487,7 +487,7 @@ def verify_commutation_theorem(grp: TruncatedGroup) -> list[CheckResult]:
             break
     results.append(CheckResult("commutant_elements_have_coset_block_form", structure_ok))
 
-    Z = center(RI)
+    Z = center(RI, IC)
     if grp.is_free:
         scalars_only = Z.dimension == 1 and Z.contains(
             KMatrix.identity(grp.p, n_dim)

@@ -303,18 +303,24 @@ def is_baer(
     for s in elements:
         L = left_annihilator(alg, [s], check_ideal=False)
         seen.setdefault(_canonical_subspace(alg, L), L)
-    # close under intersection (annihilators of larger subsets)
-    frontier = list(seen.items())
+    # close under intersection (annihilators of larger subsets), each
+    # unordered pair once: L ∩ L = L, and L2 ∩ L1 = L1 ∩ L2
+    subspaces = list(seen.values())  # seen's insertion order
+    done: set[tuple[int, int]] = set()
+    frontier = list(range(len(subspaces)))
     while frontier:
         new = []
-        for _, L1 in frontier:
-            for key2 in list(seen):
-                L2 = seen[key2]
-                inter = _intersect_subspaces(alg, L1, L2)
+        for a in frontier:
+            for b in range(len(subspaces)):
+                if a == b or (b, a) in done:
+                    continue
+                done.add((a, b))
+                inter = _intersect_subspaces(alg, subspaces[a], subspaces[b])
                 key = _canonical_subspace(alg, inter)
                 if key not in seen:
                     seen[key] = inter
-                    new.append((key, inter))
+                    new.append(len(subspaces))
+                    subspaces.append(inter)
         frontier = new
     for key, L in seen.items():
         e = _annihilator_generated_by_idempotent(alg, L)

@@ -299,8 +299,10 @@ class MatrixAlgebra:
 def algebra_span(generators: list[KMatrix], n: int) -> MatrixAlgebra:
     """Smallest unital subalgebra containing the generators.
 
-    Iterates pairwise products and row reduces until the dimension
-    stabilizes; finite dimension guarantees termination.
+    A span that contains I and the generators and is closed under right
+    multiplication by each generator contains every word in them, so
+    each new basis element is multiplied by the generators alone until
+    no product leaves the span; finite dimension guarantees termination.
     """
     if generators:
         p = generators[0].p
@@ -316,16 +318,14 @@ def algebra_span(generators: list[KMatrix], n: int) -> MatrixAlgebra:
         return False
 
     try_add(KMatrix.identity(p, n))
-    for G in generators:
-        try_add(G)
-    frontier = list(basis)
+    frontier = [G for G in generators if try_add(G)]  # I is left out: I @ G = G
     while frontier:
         new: list[KMatrix] = []
         for A in frontier:
-            for B in basis[:]:
-                for M in (A @ B, B @ A):
-                    if try_add(M):
-                        new.append(M)
+            for G in generators:
+                M = A @ G
+                if try_add(M):
+                    new.append(M)
         frontier = new
     return MatrixAlgebra(p, n, basis)
 
@@ -357,26 +357,29 @@ def commutant(generators: list[KMatrix], n: int) -> MatrixAlgebra:
     return MatrixAlgebra(p, n, basis)
 
 
-def center(alg: MatrixAlgebra) -> MatrixAlgebra:
-    """Elements of alg commuting with all of alg."""
+def center(alg: MatrixAlgebra, comm: MatrixAlgebra) -> MatrixAlgebra:
+    """The intersection alg ∩ comm.
+
+    When comm is the commutant of a generating set of alg, this is the
+    center Z(alg).  X = sum c_i comm.basis[i] lies in alg exactly when
+    its residual after elimination by alg's echelon vanishes; that
+    residual is sum c_i r_i with r_i the residual of comm.basis[i], so
+    the coefficient vectors are the null space of the r_i.
+    """
     p, n = alg.p, alg.n
-    d = len(alg.basis)
+    d = len(comm.basis)
+    residuals = [
+        alg._echelon.reduce(dense_to_sparse(C.as_vector())) for C in comm.basis
+    ]
     ech = Echelon(p)
-    for B in alg.basis:
-        # unknown X = sum c_i basis[i]; constraint X B - B X = 0
-        comms = [(Bi @ B) - (B @ Bi) for Bi in alg.basis]
-        vecs = [C.as_vector() for C in comms]
-        for j in range(n * n):
-            row = {i: vecs[i][j] for i in range(d) if not vecs[i][j].is_zero()}
-            if row:
-                ech.insert(row)
-    coeff_basis = ech.nullspace(d)
+    for j in sorted({j for r in residuals for j in r}):
+        ech.insert({i: r[j] for i, r in enumerate(residuals) if j in r})
     basis = []
-    for coeffs in coeff_basis:
+    for coeffs in ech.nullspace(d):
         M = KMatrix.zeros(p, n)
-        for c, Bi in zip(coeffs, alg.basis):
+        for c, C in zip(coeffs, comm.basis):
             if not c.is_zero():
-                M = M + Bi.scale(c)
+                M = M + C.scale(c)
         basis.append(M)
     return MatrixAlgebra(p, n, basis)
 

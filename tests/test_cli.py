@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from padicops.cli import CheckReport, RunConfig, _named, run_suite
+from padicops.cli import CheckReport, RunConfig, _named, main, run_suite
 from padicops.errors import CertificationFailed, ConfigInvalid
 
 
@@ -102,6 +102,12 @@ class TestRunSuite:
         reports = run_suite(RunConfig(p=p, l=l, k=k, j=j, seed=seed), suite)
         assert render([r.as_dict() for r in reports]) == render(expected)
 
+    def test_crossed_32_report_matches_golden_bytes(self):
+        golden = json.loads((GOLDEN / "crossed-32" / "seed-0.json").read_text())
+        expected = golden["crossed@p=17,l=2,k=3,j=2"]
+        reports = run_suite(RunConfig(p=17, l=2, k=3, j=2, seed=0), "crossed")
+        assert render([r.as_dict() for r in reports]) == render(expected)
+
 
 class TestCommandLine:
     def test_golden_run_all_suites(self, tmp_path):
@@ -165,3 +171,43 @@ class TestCommandLine:
             r for r in reports if r["check_id"] == "mihara.custom_matrix_norm_identity"
         ]
         assert custom and custom[0]["detail"]["identity_holds"] is False
+
+
+MALFORMED_INPUTS = {
+    "ragged": {"matrix": [[1, 2], [3]]},
+    "non_square": {"matrix": [[1, 2, 3], [4, 5, 6]]},
+    "empty": {"matrix": []},
+    "empty_rows": {"matrix": [[]]},
+    "matrix_not_a_list": {"matrix": "5"},
+    "row_not_a_list": {"matrix": [1, 2]},
+    "payload_not_an_object": [[1, 2], [3, 4]],
+    "no_matrix": {"q_roots": [1, 5]},
+    "roots_not_a_list": {"matrix": [[1]], "q_roots": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_a_configuration_error(name, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(MALFORMED_INPUTS[name]))
+    code = main(["--p", "5", "--suite", "mihara", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("invalid configuration: input")
+    assert captured.out == ""
+
+
+def test_input_that_is_not_json_is_a_configuration_error(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text("[[1, 2], [3")
+    assert main(["--p", "5", "--suite", "mihara", "--input", str(path)]) == 2
+    assert "input is not valid JSON" in capsys.readouterr().err
+
+
+def test_ragged_input_from_the_command_line_exits_cleanly(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"matrix": [[1, 2], [3]]}))
+    proc = run_cli("--p", "5", "--suite", "mihara", "--input", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "invalid configuration: input matrix rows have unequal lengths" in proc.stderr

@@ -30,7 +30,14 @@ from padicops.crossed import (
 from padicops.errors import CertificationFailed, IndexNotInG0
 from padicops.padic import PadicScalar
 from padicops.report import all_passed
-from padicops.ultralinalg import KMatrix, MatrixAlgebra, commutant, is_orthonormal
+from padicops.ultralinalg import (
+    KMatrix,
+    MatrixAlgebra,
+    center,
+    commutant,
+    is_orthonormal,
+)
+from test_ultralinalg import reference_algebra_span, reference_center
 
 
 FREE = TruncatedGroup(2, 2, 2, 5)
@@ -265,6 +272,22 @@ class TestBlockChangeOfBasis:
         assert (F @ F_inv).equals(I)
         T, T_inv = nu_change_of_basis(grp)
         assert (T_inv @ T).equals(I)
+
+
+@pytest.mark.parametrize(
+    "config", BLOCK_CONFIGS, ids=[",".join(map(str, c)) for c in BLOCK_CONFIGS]
+)
+def test_spans_and_center_match_all_pairs_oracles(config):
+    p, l, k, j = config
+    grp = TruncatedGroup(l, k, j, p)
+    n = space_dim(grp)
+    algebras = build_algebras(grp)
+    RI = algebras.RI
+    assert RI.equals(reference_algebra_span(algebras.gens_i, n))
+    assert algebras.RJ.equals(reference_algebra_span(algebras.gens_j, n))
+    Z = center(RI, commutant(algebras.gens_i, n))
+    assert Z.equals(reference_center(RI))
+    assert (Z.dimension == 1) == grp.is_free
 
 
 def test_partial_fourier_is_built_once_and_lazily():

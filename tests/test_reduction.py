@@ -170,6 +170,38 @@ class TestBaer:
         assert report.failing_annihilator is not None
         assert np.array_equal(report.failing_annihilator[0], N % 5)
 
+    def test_closure_reaches_intersections_of_annihilators(self):
+        # I, E01, E02, E03, E13, E23 + E33 over F_2: one annihilator is the
+        # intersection of two others and the annihilator of no single element
+        p, n = 2, 4
+        basis = [np.eye(n, dtype=np.int64)]
+        for cells in [[(0, 1)], [(0, 2)], [(0, 3)], [(1, 3)], [(2, 3), (3, 3)]]:
+            B = np.zeros((n, n), dtype=np.int64)
+            for cell in cells:
+                B[cell] = 1
+            basis.append(B)
+        alg = FiniteAlgebra(p, n, basis)
+        canonical = reduction._canonical_subspace
+        closure = {}
+        for s in alg.iter_elements():
+            L = left_annihilator(alg, [s], check_ideal=False)
+            closure.setdefault(canonical(alg, L), L)
+        singles = len(closure)
+        grown = True
+        while grown:  # every ordered pair, until nothing new appears
+            grown = False
+            for L1 in list(closure.values()):
+                for L2 in list(closure.values()):
+                    inter = reduction._intersect_subspaces(alg, L1, L2)
+                    key = canonical(alg, inter)
+                    if key not in closure:
+                        closure[key] = inter
+                        grown = True
+        report = is_baer(alg, mode="exhaustive")
+        assert (singles, len(closure)) == (11, 12)
+        assert report.detail["annihilators_tested"] == len(closure)
+        assert report.is_baer is False
+
     def test_sampled_mode_on_larger_algebra(self):
         report = is_baer(full_matrix_algebra_fp(5, 3), mode="sampled", n_samples=60)
         assert report.is_baer is True

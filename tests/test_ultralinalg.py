@@ -6,11 +6,13 @@ from fractions import Fraction
 
 from padicops.padic import PadicScalar
 from padicops.ultralinalg import (
+    Echelon,
     KMatrix,
     MatrixAlgebra,
     algebra_span,
     center,
     commutant,
+    dense_to_sparse,
     is_orthonormal,
     operator_norm,
     parse_matrix,
@@ -33,6 +35,66 @@ def random_matrix(p, n, rng, vrange=(0, 2)):
             for _ in range(n)
         ],
     )
+
+
+def reference_algebra_span(generators, n):
+    """All-pairs closure: multiply every new element by the whole basis,
+    on both sides, until the dimension stabilizes."""
+    p = generators[0].p
+    ech = Echelon(p)
+    basis = []
+
+    def try_add(M):
+        if ech.insert(dense_to_sparse(M.as_vector())):
+            basis.append(M)
+            return True
+        return False
+
+    try_add(KMatrix.identity(p, n))
+    for G in generators:
+        try_add(G)
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for A in frontier:
+            for B in basis[:]:
+                for M in (A @ B, B @ A):
+                    if try_add(M):
+                        new.append(M)
+        frontier = new
+    return MatrixAlgebra(p, n, basis)
+
+
+def reference_center(alg):
+    """Center by the commutator system: X = sum c_i B_i with X B - B X = 0
+    for every basis element B, one product pair per ordered basis pair."""
+    p, n = alg.p, alg.n
+    d = len(alg.basis)
+    ech = Echelon(p)
+    for B in alg.basis:
+        vecs = [((Bi @ B) - (B @ Bi)).as_vector() for Bi in alg.basis]
+        for j in range(n * n):
+            row = {i: vecs[i][j] for i in range(d) if not vecs[i][j].is_zero()}
+            if row:
+                ech.insert(row)
+    basis = []
+    for coeffs in ech.nullspace(d):
+        M = KMatrix.zeros(p, n)
+        for c, Bi in zip(coeffs, alg.basis):
+            if not c.is_zero():
+                M = M + Bi.scale(c)
+        basis.append(M)
+    return MatrixAlgebra(p, n, basis)
+
+
+def unit_matrices(p, n):
+    units = []
+    for i in range(n):
+        for j in range(n):
+            rows = [[0] * n for _ in range(n)]
+            rows[i][j] = 1
+            units.append(KMatrix.from_int_rows(p, rows))
+    return units
 
 
 class TestOperatorNorm:
@@ -189,5 +251,87 @@ class TestCommutant:
                 rows[i][j] = 1
                 units.append(KMatrix.from_int_rows(p, rows))
         alg = MatrixAlgebra(p, 2, units)
-        z = center(alg)
+        z = center(alg, commutant(alg.basis, 2))
         assert z.dimension == 1
+
+
+class TestCenterAsIntersection:
+    def test_intersection_with_itself(self):
+        rng = random.Random(21)
+        p = 5
+        alg = algebra_span([random_matrix(p, 3, rng)], 3)
+        assert center(alg, alg).equals(alg)
+
+    def test_contained_subspace_is_the_intersection(self):
+        p = 3
+        full = MatrixAlgebra(p, 3, unit_matrices(p, 3))
+        D = KMatrix.from_int_rows(p, [[1, 0, 0], [0, 2, 0], [0, 0, 0]])
+        small = algebra_span([D], 3)
+        assert center(small, full).equals(small)
+        assert center(full, small).equals(small)
+
+    def test_trivial_intersection(self):
+        p = 5
+        E11, _, _, E22 = unit_matrices(p, 2)
+        z = center(MatrixAlgebra(p, 2, [E11]), MatrixAlgebra(p, 2, [E22]))
+        assert z.dimension == 0 and z.basis == []
+
+    def test_partial_intersection(self):
+        p = 7
+        E11, E12, E21, E22 = unit_matrices(p, 2)
+        A = MatrixAlgebra(p, 2, [E11, E12 + E21])
+        B = MatrixAlgebra(p, 2, [E11 + E22, E12 + E21, E22])
+        z = center(A, B)
+        assert z.equals(MatrixAlgebra(p, 2, [E11, E12 + E21]))
+
+    def test_matches_commutator_oracle_on_random_algebras(self):
+        rng = random.Random(23)
+        for p, n, count in [(3, 2, 1), (3, 3, 1), (5, 3, 2), (5, 2, 2), (7, 4, 1)]:
+            gens = [random_matrix(p, n, rng) for _ in range(count)]
+            alg = algebra_span(gens, n)
+            z = center(alg, commutant(gens, n))
+            assert z.equals(reference_center(alg)), (p, n, count)
+            for C in z.basis:
+                assert alg.contains(C)
+                assert all((C @ G).equals(G @ C) for G in gens)
+
+    def test_matches_commutator_oracle_on_block_diagonal_algebra(self):
+        # M_2 (+) K: a center of dimension 2 that is neither all nor scalars
+        p = 5
+
+        def embed(M, c):
+            return KMatrix.from_int_rows(
+                p, [[M[0][0], M[0][1], 0], [M[1][0], M[1][1], 0], [0, 0, c]]
+            )
+
+        gens = [embed([[1, 1], [0, 2]], 3), embed([[0, 0], [1, 0]], 0)]
+        alg = algebra_span(gens, 3)
+        z = center(alg, commutant(gens, 3))
+        assert (alg.dimension, z.dimension) == (5, 2)
+        assert z.equals(reference_center(alg))
+
+
+class TestSpanByGenerators:
+    def test_matches_all_pairs_oracle_on_random_generators(self):
+        rng = random.Random(29)
+        for p, n, count, vrange in [
+            (3, 2, 1, (0, 2)),
+            (3, 3, 2, (0, 2)),
+            (5, 3, 1, (-1, 2)),
+            (5, 4, 2, (0, 1)),
+            (7, 3, 3, (0, 2)),
+        ]:
+            gens = [random_matrix(p, n, rng, vrange) for _ in range(count)]
+            alg = algebra_span(gens, n)
+            assert alg.equals(reference_algebra_span(gens, n)), (p, n, count)
+            assert alg.is_closed()
+
+    def test_sparse_generators(self):
+        p = 5
+        E11, E12, _, _ = unit_matrices(p, 2)
+        nilpotent = algebra_span([E12], 2)
+        assert nilpotent.dimension == 2
+        assert nilpotent.equals(reference_algebra_span([E12], 2))
+        upper = algebra_span([E11, E12], 2)
+        assert upper.dimension == 3
+        assert upper.equals(reference_algebra_span([E11, E12], 2))
