@@ -103,16 +103,25 @@ class TruncatedGroup:
         """
         p, s, order = self.p, self.s_size, self.order
         n_dim = s * order
-        zero = PadicScalar.zero(p)
         weight = self.haar_weight()
-        F = [[zero] * n_dim for _ in range(n_dim)]
-        F_inv = [[zero] * n_dim for _ in range(n_dim)]
-        for x in range(s):
-            for a in range(order):
-                for n in range(order):
-                    F[x * order + a][n * s + x] = self.zeta_pow(n * a)
-                    F_inv[n * s + x][x * order + a] = weight * self.zeta_pow(-n * a)
-        F, F_inv = KMatrix(p, F), KMatrix(p, F_inv)
+        F = KMatrix.from_rows(
+            p,
+            [
+                {n * s + x: self.zeta_pow(n * a) for n in range(order)}
+                for x in range(s)
+                for a in range(order)
+            ],
+            n_dim,
+        )
+        F_inv = KMatrix.from_rows(
+            p,
+            [
+                {x * order + a: weight * self.zeta_pow(-n * a) for a in range(order)}
+                for n in range(order)
+                for x in range(s)
+            ],
+            n_dim,
+        )
         if not (F @ F_inv).equals(KMatrix.identity(p, n_dim)):
             raise CertificationFailed("F F^-1 is not the identity")
         return F, F_inv

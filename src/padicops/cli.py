@@ -13,6 +13,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -169,8 +170,10 @@ def _named(check_id):
 
     The body returns (status, detail).  The check times it and builds its
     report; no other code builds a CheckReport.  CertificationFailed
-    becomes a "fail" whose detail is the failed claim, and any other
-    library error an "error" report.
+    becomes a "fail" whose detail is the failed claim.  Any other
+    exception becomes an "error" report that names its type, so one
+    faulty check does not end the run; a traceback goes to stderr for
+    exceptions that are not library errors.
     """
 
     def deco(fn):
@@ -180,7 +183,9 @@ def _named(check_id):
                 status, detail = fn(config, *args)
             except CertificationFailed as exc:
                 status, detail = "fail", {"assertion": str(exc)}
-            except PadicopsError as exc:
+            except Exception as exc:
+                if not isinstance(exc, PadicopsError):
+                    traceback.print_exc()
                 status = "error"
                 detail = {"exception": type(exc).__name__, "message": str(exc)}
             elapsed_ms = 1000 * (time.monotonic() - start)
@@ -446,10 +451,10 @@ def _random_structured(grp: TruncatedGroup, rng: random.Random, idempotent: bool
         cosets.setdefault(i % grp.g0_modulus, []).append(i)
     for idx in cosets.values():
         B = _random_projection(p, len(idx), rng)
-        for r, m in enumerate(idx):
-            for c, n in enumerate(idx):
-                if not B.entries[r][c].is_zero():
-                    b[(m, n)] = B.entries[r][c]
+        for r, row in enumerate(B.data):
+            for c, value in row.items():
+                if not value.is_zero():
+                    b[(idx[r], idx[c])] = value
     return StructuredCommutantElement(grp, b)
 
 

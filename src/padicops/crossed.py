@@ -70,29 +70,25 @@ def build_operator(
 ) -> KMatrix:
     """Point-basis matrix of U(a0), V(a0), W, L(phi), or M(phi)."""
     p = grp.p
-    n = space_dim(grp)
-    zero = PadicScalar.zero(p)
     one = PadicScalar.one(p)
-    entries = [[zero] * n for _ in range(n)]
+    rows = []
     for x in range(grp.s_size):
         for a in range(grp.order):
-            row = point_index(grp, x, a)
             if kind == "U":
                 col = point_index(grp, grp.act(x, a0), (a + a0) % grp.order)
-                entries[row][col] = one
+                rows.append({col: one})
             elif kind == "V":
-                col = point_index(grp, x, (a - a0) % grp.order)
-                entries[row][col] = one
+                rows.append({point_index(grp, x, (a - a0) % grp.order): one})
             elif kind == "W":
                 col = point_index(grp, grp.act(x, -a), (-a) % grp.order)
-                entries[row][col] = one
+                rows.append({col: one})
             elif kind == "L":
-                entries[row][row] = phi[x]
+                rows.append({point_index(grp, x, a): phi[x]})
             elif kind == "M":
-                entries[row][row] = phi[grp.act(x, -a)]
+                rows.append({point_index(grp, x, a): phi[grp.act(x, -a)]})
             else:
                 raise ValueError(f"unknown operator kind {kind!r}")
-    return KMatrix(p, entries)
+    return KMatrix.from_rows(p, rows, space_dim(grp))
 
 
 def nu_basis(grp: TruncatedGroup) -> list[tuple[int, int, list[list[PadicScalar]]]]:
@@ -146,54 +142,51 @@ def block_form(grp: TruncatedGroup, op: KMatrix) -> KMatrix:
     return F_inv @ op @ F
 
 
-def _block(hat: KMatrix, s: int, m: int, n: int) -> list[list[PadicScalar]]:
-    """Entries of block [m][n] of a block form, whose blocks are s x s."""
-    return [row[n * s : (n + 1) * s] for row in hat.entries[m * s : (m + 1) * s]]
+def _blocks(grp: TruncatedGroup, hat: KMatrix) -> list[list[KMatrix]]:
+    """The l^k x l^k array of l^j x l^j blocks of a block form."""
+    s, order = grp.s_size, grp.order
+    rows = [[[{} for _ in range(s)] for _ in range(order)] for _ in range(order)]
+    for r, row in enumerate(hat.data):
+        m, x = divmod(r, s)
+        for c, a in row.items():
+            n, y = divmod(c, s)
+            rows[m][n][x][y] = a
+    return [[KMatrix.from_rows(grp.p, block, s) for block in row] for row in rows]
 
 
 def matrix_blocks(grp: TruncatedGroup, op: KMatrix) -> list[list[KMatrix]]:
     """Block decomposition blocks[m][n]: C(S) -> C(S), sliced from F^-1 op F."""
-    hat = block_form(grp, op)
-    return [
-        [KMatrix(grp.p, _block(hat, grp.s_size, m, n)) for n in range(grp.order)]
-        for m in range(grp.order)
-    ]
+    return _blocks(grp, block_form(grp, op))
 
 
 def matrix_from_blocks(grp: TruncatedGroup, blocks: list[list[KMatrix]]) -> KMatrix:
     """Inverse of matrix_blocks: F hat F^-1 for the assembled block form hat."""
-    hat = KMatrix(
-        grp.p,
-        [
-            [c for block in block_row for c in block.entries[x]]
-            for block_row in blocks
-            for x in range(grp.s_size)
-        ],
-    )
+    s = grp.s_size
+    rows = []
+    for block_row in blocks:
+        for x in range(s):
+            rows.append(
+                {
+                    n * s + y: a
+                    for n, block in enumerate(block_row)
+                    for y, a in block.data[x].items()
+                }
+            )
+    hat = KMatrix.from_rows(grp.p, rows, len(blocks) * s)
     F, F_inv = grp.partial_fourier
     return F @ hat @ F_inv
 
 
 def mult_operator_on_s(grp: TruncatedGroup, phi: list[PadicScalar]) -> KMatrix:
-    zero = PadicScalar.zero(grp.p)
-    return KMatrix(
-        grp.p,
-        [
-            [phi[x] if x == y else zero for y in range(grp.s_size)]
-            for x in range(grp.s_size)
-        ],
-    )
+    s = grp.s_size
+    return KMatrix.from_rows(grp.p, [{x: phi[x]} for x in range(s)], s)
 
 
 def shift_operator_on_s(grp: TruncatedGroup, a0: int) -> KMatrix:
     """(U_{a0} f)(x) = f(x + a0) on C(S)."""
-    zero, one = PadicScalar.zero(grp.p), PadicScalar.one(grp.p)
-    return KMatrix(
-        grp.p,
-        [
-            [one if y == grp.act(x, a0) else zero for y in range(grp.s_size)]
-            for x in range(grp.s_size)
-        ],
+    one = PadicScalar.one(grp.p)
+    return KMatrix.from_rows(
+        grp.p, [{grp.act(x, a0): one} for x in range(grp.s_size)], grp.s_size
     )
 
 
@@ -244,20 +237,30 @@ class StructuredCommutantElement:
     def coeff(self, m: int, n: int) -> PadicScalar:
         return self.b.get((m, n), PadicScalar.zero(self.grp.p))
 
-    def to_matrix(self) -> KMatrix:
+    def block_matrix(self) -> KMatrix:
+        """The block form F^-1 P F of the element, built from its coefficients.
+
+        Block [m][n] is b[m,n] times multiplication by eta_(m-n), so entry
+        (m l^j + x, n l^j + x) is b[m,n] eta_(m-n)(x) and every other entry
+        is zero.
+        """
         grp = self.grp
-        zero_block = KMatrix.zeros(grp.p, grp.s_size)
-        blocks = []
+        s = grp.s_size
+        rows = []
         for m in range(grp.order):
-            row = []
+            blocks = []
             for n in range(grp.order):
                 c = self.coeff(m, n)
-                if c.is_zero() or not grp.in_g0(m - n):
-                    row.append(zero_block)
-                else:
-                    row.append(mult_operator_on_s(grp, eta(grp, m - n)).scale(c))
-            blocks.append(row)
-        return matrix_from_blocks(grp, blocks)
+                if grp.in_g0(m - n) and not c.is_zero():
+                    blocks.append((n, c, eta(grp, m - n)))
+            for x in range(s):
+                rows.append({n * s + x: c * e[x] for n, c, e in blocks})
+        return KMatrix.from_rows(grp.p, rows, grp.order * s)
+
+    def to_matrix(self) -> KMatrix:
+        """The element in the point basis: F (F^-1 P F) F^-1."""
+        F, F_inv = self.grp.partial_fourier
+        return F @ self.block_matrix() @ F_inv
 
 
 @dataclass
@@ -271,7 +274,14 @@ def idempotent_check(elem: StructuredCommutantElement) -> IdempotentVerdict:
 
     Idempotent iff sum over admissible n of b[i,n] b[n,j] equals b[i,j];
     orthoprojection iff additionally every |b| <= 1.  Cross-validated
-    against the matrix-level tests.
+    against the matrix-level tests on the block form P^ = F^-1 P F, built
+    straight from the coefficients.  That is sound: conjugation by F is an
+    algebra automorphism, so P^ is idempotent iff P is, and it is an
+    isometry, because F and F^-1 lie in GL_n(Z_p) (their entries are
+    roots of unity and 1/|G| times roots of unity, and |G| = l^k is a
+    p-adic unit), so ||F^-1 A F|| <= ||A|| and ||A|| <= ||F^-1 A F||.
+    The norm identity that ``is_orthoprojection`` certifies for
+    aP + b(I - P) therefore holds for P^ exactly when it holds for P.
     """
     grp = elem.grp
     idem = True
@@ -286,8 +296,8 @@ def idempotent_check(elem: StructuredCommutantElement) -> IdempotentVerdict:
     ortho = idem and all(
         value.valuation_lower_bound() >= 0 for value in elem.b.values()
     )
-    # cross-validate at the matrix level
-    P = elem.to_matrix()
+    # cross-validate at the matrix level, in the block basis
+    P = elem.block_matrix()
     matrix_idem = (P @ P).equals(P)
     if matrix_idem != idem:
         raise CertificationFailed("coefficient/matrix idempotent verdicts disagree")
@@ -312,26 +322,20 @@ def extract_block_coefficients(
     """
     if hat is None:
         hat = block_form(grp, op)
-    etas = {i: eta(grp, i) for i in grp.g0_indices()}
-    b_entries = [[PadicScalar.zero(grp.p)] * grp.order for _ in range(grp.order)]
-    for m in range(grp.order):
-        for n in range(grp.order):
-            block = _block(hat, grp.s_size, m, n)
-            eta_mn = etas.get((m - n) % grp.order)
-            if eta_mn is None:
-                if not all(c.is_zero() for row in block for c in row):
+    mults = {i: mult_operator_on_s(grp, eta(grp, i)) for i in grp.g0_indices()}
+    b_rows: list[dict[int, PadicScalar]] = [{} for _ in range(grp.order)]
+    for m, block_row in enumerate(_blocks(grp, hat)):
+        for n, block in enumerate(block_row):
+            mult = mults.get((m - n) % grp.order)
+            if mult is None:
+                if not block.is_zero():
                     raise CertificationFailed("nonzero block off the G0-cosets")
                 continue
-            b_mn = block[0][0]  # psi(x0) with x0 = 0
-            # block - b_mn * mult(eta_(m-n)) must vanish entrywise
-            if not all(
-                (c - b_mn * eta_mn[x] if x == y else c).is_zero()
-                for x, row in enumerate(block)
-                for y, c in enumerate(row)
-            ):
+            b_mn = block.entry(0, 0)  # psi(x0) with x0 = 0
+            if not (block - mult.scale(b_mn)).is_zero():
                 raise CertificationFailed("block is not b * mult(eta)")
-            b_entries[m][n] = b_mn
-    return KMatrix(grp.p, b_entries)
+            b_rows[m][n] = b_mn
+    return KMatrix.from_rows(grp.p, b_rows, grp.order)
 
 
 def verify_operator_identities(grp: TruncatedGroup) -> list[CheckResult]:
@@ -452,25 +456,33 @@ def verify_commutation_theorem(grp: TruncatedGroup) -> list[CheckResult]:
     RI, RJ = algebras.RI, algebras.RJ
     IC = commutant(algebras.gens_i, n_dim)
     JC = commutant(algebras.gens_j, n_dim)
+    ic_is_rj, jc_is_ri = IC.equals(RJ), JC.equals(RI)
     results.append(
         CheckResult(
             "commutant_of_UL_equals_VM_span",
-            IC.equals(RJ),
+            ic_is_rj,
             {"dim_commutant": IC.dimension, "dim_span": RJ.dimension},
         )
     )
     results.append(
         CheckResult(
             "commutant_of_VM_equals_UL_span",
-            JC.equals(RI),
+            jc_is_ri,
             {"dim_commutant": JC.dimension, "dim_span": RI.dimension},
         )
     )
+    # A commutant depends only on the span of its generating set, and the
+    # commutant of a set is that of the algebra it generates.  So IC = RJ
+    # gives IC' = RJ' = (gens_j)' = JC = RI, and JC = RI gives JC' = IC = RJ:
+    # with both equalities certified the double commutants are stable.
     results.append(
         CheckResult(
             "double_commutants_stable",
-            commutant(IC.basis, n_dim).equals(RI)
-            and commutant(JC.basis, n_dim).equals(RJ),
+            (ic_is_rj and jc_is_ri)
+            or (
+                commutant(IC.basis, n_dim).equals(RI)
+                and commutant(JC.basis, n_dim).equals(RJ)
+            ),
         )
     )
     W = build_operator(grp, "W")
@@ -507,7 +519,7 @@ def verify_commutation_theorem(grp: TruncatedGroup) -> list[CheckResult]:
                 for n in range(grp.order):
                     if m == n:
                         diag = blocks[m][n]
-                        lam_m = diag.entries[0][0]
+                        lam_m = diag.entry(0, 0)
                         if not diag.equals(
                             KMatrix.identity(grp.p, grp.s_size).scale(lam_m)
                         ):

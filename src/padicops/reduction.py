@@ -43,9 +43,11 @@ def reduce_matrix(A: KMatrix) -> np.ndarray:
     e = operator_norm(A)
     if e < 0:
         raise NotInUnitBall(f"operator norm exponent {e} < 0")
-    return np.array(
-        [[reduce_residue(a) for a in row] for row in A.entries], dtype=np.int64
-    )
+    out = np.zeros((A.rows, A.cols), dtype=np.int64)
+    for i, row in enumerate(A.data):
+        for j, a in row.items():
+            out[i, j] = reduce_residue(a)
+    return out
 
 
 @dataclass
@@ -153,7 +155,7 @@ def reduce_algebra(
         basis.append(B.scale(PadicScalar.from_rational(p, Fraction(p) ** (-int(e)))))
     if max_iter is None:
         max_iter = 4 * max(
-            [b.N for B in basis for row in B.entries for b in row if b.kind == "unit"]
+            [b.N for B in basis for b in B.values() if b.kind == "unit"]
             or [64]
         )
     for _ in range(max_iter):
@@ -544,7 +546,7 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
     hats = [block_form(grp, B) for B in lattice.basis]
     coeffs = [extract_block_coefficients(grp, hat=h) for h in hats]
     support_ok = all(
-        b.entries[m][n].is_zero()
+        b.entry(m, n).is_zero()
         for b in coeffs
         for m in range(grp.order)
         for n in range(grp.order)
@@ -574,11 +576,11 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
         for col, (i, j) in enumerate(nu_index):
             for row, (l_idx, m) in enumerate(nu_index):
                 expected = (
-                    b.entries[m][j]
+                    b.entry(m, j)
                     if (l_idx - (m + i - j)) % grp.order == 0
                     else PadicScalar.zero(p)
                 )
-                if not (C.entries[row][col] - expected).is_zero():
+                if not (C.entry(row, col) - expected).is_zero():
                     pattern_ok = False
         reduced_coeffs.append(reduce_matrix(b))
     results.append(CheckResult("nu_matrix_elements_follow_coset_pattern", pattern_ok))

@@ -46,12 +46,6 @@ class PolynomialOverK:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def eval_scalar(self, x: PadicScalar) -> PadicScalar:
-        acc = PadicScalar.zero(x.p)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
     def eval_matrix(self, A: KMatrix) -> KMatrix:
         acc = KMatrix.zeros(A.p, A.rows)
         for c in reversed(self.coefficients):

@@ -20,15 +20,38 @@ NormExponent = float  # int, or math.inf for the zero matrix
 
 
 class KMatrix:
-    """Dense matrix of PadicScalar entries over a fixed prime p."""
+    """Matrix of PadicScalar entries over a fixed prime p, stored by rows.
 
-    __slots__ = ("p", "rows", "cols", "entries")
+    ``data[i]`` maps column j to entry (i, j) for every entry that is not
+    an exact zero, the row form ``Echelon`` uses.  Capped zeros are
+    stored: their precision bound is what the guard in
+    ``vec_norm_exponent`` checks.  Products, sums and scans cost O(number
+    of stored entries), so monomial and block-sparse matrices stay cheap.
+    """
+
+    __slots__ = ("p", "rows", "cols", "data")
 
     def __init__(self, p: int, entries: list[list[PadicScalar]]):
+        """From a dense grid, a list of rows of scalars."""
         self.p = p
-        self.entries = entries
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
+        self.data = [
+            {j: a for j, a in enumerate(row) if not a.is_exact_zero()}
+            for row in entries
+        ]
+
+    @classmethod
+    def from_rows(
+        cls, p: int, rows: list[dict[int, PadicScalar]], cols: int
+    ) -> "KMatrix":
+        """From sparse rows col -> scalar; exact zeros are dropped."""
+        M = cls.__new__(cls)
+        M.p, M.rows, M.cols = p, len(rows), cols
+        M.data = [
+            {j: a for j, a in row.items() if not a.is_exact_zero()} for row in rows
+        ]
+        return M
 
     @classmethod
     def from_int_rows(cls, p: int, grid) -> "KMatrix":
@@ -36,89 +59,109 @@ class KMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> "KMatrix":
-        one, zero = PadicScalar.one(p), PadicScalar.zero(p)
-        return cls(p, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        one = PadicScalar.one(p)
+        return cls.from_rows(p, [{i: one} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, p: int, n: int, m: int | None = None) -> "KMatrix":
-        m = n if m is None else m
-        zero = PadicScalar.zero(p)
-        return cls(p, [[zero] * m for _ in range(n)])
+        return cls.from_rows(p, [{} for _ in range(n)], n if m is None else m)
+
+    def entry(self, i: int, j: int) -> PadicScalar:
+        a = self.data[i].get(j)
+        return PadicScalar.zero(self.p) if a is None else a
 
     def __add__(self, other: "KMatrix") -> "KMatrix":
-        return KMatrix(
-            self.p,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        out = []
+        for ra, rb in zip(self.data, other.data):
+            row = dict(ra)
+            for j, b in rb.items():
+                a = row.get(j)
+                row[j] = b if a is None else a + b
+            out.append(row)
+        return KMatrix.from_rows(self.p, out, self.cols)
 
     def __sub__(self, other: "KMatrix") -> "KMatrix":
-        return KMatrix(
-            self.p,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
+        return self + (-other)
 
     def __neg__(self) -> "KMatrix":
-        return KMatrix(self.p, [[-a for a in row] for row in self.entries])
+        return KMatrix.from_rows(
+            self.p, [{j: -a for j, a in row.items()} for row in self.data], self.cols
+        )
 
     def scale(self, c: PadicScalar) -> "KMatrix":
-        return KMatrix(self.p, [[c * a for a in row] for row in self.entries])
+        return KMatrix.from_rows(
+            self.p, [{j: c * a for j, a in row.items()} for row in self.data], self.cols
+        )
 
     def __matmul__(self, other: "KMatrix") -> "KMatrix":
+        """Product; operands that are zero to precision are skipped."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        p = self.p
-        zero = PadicScalar.zero(p)
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.entries[i]
-            orow = out[i]
-            for t in range(self.cols):
-                a = arow[t]
+        # each entry of the right factor is tested for zero once per product
+        right = [
+            [(j, b) for j, b in row.items() if not b.is_zero()] for row in other.data
+        ]
+        out = []
+        for arow in self.data:
+            acc: dict[int, PadicScalar] = {}
+            for t, a in arow.items():
                 if a.is_zero():
                     continue
-                brow = other.entries[t]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if not b.is_zero():
-                        orow[j] = orow[j] + a * b
-        return KMatrix(p, out)
+                for j, b in right[t]:
+                    cur = acc.get(j)
+                    acc[j] = a * b if cur is None else cur + a * b
+            out.append(acc)
+        return KMatrix.from_rows(self.p, out, other.cols)
 
     def apply(self, vec: list[PadicScalar]) -> list[PadicScalar]:
         zero = PadicScalar.zero(self.p)
         out = []
-        for row in self.entries:
+        for row in self.data:
             acc = zero
-            for a, x in zip(row, vec):
+            for j, a in row.items():
+                x = vec[j]
                 if not (a.is_zero() or x.is_zero()):
                     acc = acc + a * x
             out.append(acc)
         return out
 
+    def values(self):
+        """The stored entries: every entry that is not an exact zero."""
+        return (a for row in self.data for a in row.values())
+
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.entries for a in row)
+        return all(a.is_zero() for a in self.values())
 
     def equals(self, other: "KMatrix") -> bool:
         """Entrywise equality to full tracked precision."""
         return (self - other).is_zero()
 
     def as_vector(self) -> list[PadicScalar]:
-        return [a for row in self.entries for a in row]
+        """Entries in row-major order, zeros included."""
+        m = self.cols
+        out = [PadicScalar.zero(self.p)] * (self.rows * m)
+        for i, row in enumerate(self.data):
+            for j, a in row.items():
+                out[i * m + j] = a
+        return out
+
+    def as_sparse_vector(self) -> dict[int, PadicScalar]:
+        """Stored entries keyed by row-major index, the Echelon row form."""
+        m = self.cols
+        return {
+            i * m + j: a for i, row in enumerate(self.data) for j, a in row.items()
+        }
 
     @classmethod
     def from_vector(cls, p: int, vec: list[PadicScalar], n: int, m: int) -> "KMatrix":
         return cls(p, [list(vec[i * m : (i + 1) * m]) for i in range(n)])
 
     def transpose(self) -> "KMatrix":
-        return KMatrix(
-            self.p,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out: list[dict[int, PadicScalar]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, a in row.items():
+                out[j][i] = a
+        return KMatrix.from_rows(self.p, out, self.rows)
 
     def __repr__(self):
         return f"KMatrix({self.p}, {self.rows}x{self.cols})"
@@ -142,7 +185,7 @@ def vec_norm_exponent(vec) -> NormExponent:
 
 def operator_norm(A: KMatrix) -> NormExponent:
     """Exponent e with ||A|| = p^(-e); +inf for the zero matrix."""
-    return vec_norm_exponent(A.as_vector())
+    return vec_norm_exponent(A.values())
 
 
 def is_orthonormal(vectors: list[list[PadicScalar]]) -> bool:
@@ -253,14 +296,14 @@ class MatrixAlgebra:
         self.basis = basis
         self._echelon = Echelon(p)
         for B in basis:
-            self._echelon.insert(dense_to_sparse(B.as_vector()))
+            self._echelon.insert(B.as_sparse_vector())
 
     @property
     def dimension(self) -> int:
         return self._echelon.rank
 
     def contains(self, M: KMatrix) -> bool:
-        return self._echelon.contains(dense_to_sparse(M.as_vector()))
+        return self._echelon.contains(M.as_sparse_vector())
 
     def contains_algebra(self, other: "MatrixAlgebra") -> bool:
         return all(self.contains(B) for B in other.basis)
@@ -312,7 +355,7 @@ def algebra_span(generators: list[KMatrix], n: int) -> MatrixAlgebra:
     basis: list[KMatrix] = []
 
     def try_add(M: KMatrix) -> bool:
-        if ech.insert(dense_to_sparse(M.as_vector())):
+        if ech.insert(M.as_sparse_vector()):
             basis.append(M)
             return True
         return False
@@ -330,24 +373,100 @@ def algebra_span(generators: list[KMatrix], n: int) -> MatrixAlgebra:
     return MatrixAlgebra(p, n, basis)
 
 
+def _monomial(G: KMatrix) -> tuple[list[int], list[PadicScalar]] | None:
+    """(sigma, g) with G = sum_i g[i] E_(i, sigma[i]) if G is monomial, else None.
+
+    Monomial: each row holds exactly one certified-nonzero entry, the
+    columns of those entries are distinct, and every other entry is an
+    exact zero.
+    """
+    sigma, g = [], []
+    for row in G.data:
+        if len(row) != 1:
+            return None
+        ((j, a),) = row.items()
+        if not a.is_certified_nonzero():
+            return None
+        sigma.append(j)
+        g.append(a)
+    if len(set(sigma)) != G.cols:
+        return None
+    return sigma, g
+
+
+def _orbital_commutant(
+    p: int, n: int, monomials: list[tuple[list[int], list[PadicScalar]]]
+) -> list[KMatrix]:
+    """Basis of the commutant of monomial generators, one matrix per orbital.
+
+    For G = sum_i g_i E_(i, s(i)), entry (i, s(k)) of XG = GX reads
+    X[s(i), s(k)] = X[i, k] g_k / g_i: every equation ties two entries of
+    X, so X is fixed on each orbit of the index pairs (i, k) under
+    (i, k) -> (s(i), s(k)) by its value at one pair.  The s are
+    permutations, so following the generators forward from a pair visits
+    its whole orbit.  A relation between two pairs already reached closes
+    a cycle; when its ratio is not 1 (tested with is_zero, as Echelon
+    tests pivots) X vanishes on that orbit, which then gives no basis
+    element.  This is the twisted form of Schur's centralizer ring: the
+    commutant of a permutation group is spanned by its orbitals.
+    """
+    steps = [(sigma, g, [a.inverse() for a in g]) for sigma, g in monomials]
+    one = PadicScalar.one(p)
+    value: list[PadicScalar | None] = [None] * (n * n)
+    basis = []
+    for start in range(n * n):
+        if value[start] is not None:
+            continue
+        value[start] = one
+        orbit = [start]
+        consistent = True
+        for var in orbit:  # orbit grows while it is walked
+            i, k = divmod(var, n)
+            x = value[var]
+            for sigma, g, g_inv in steps:
+                target = sigma[i] * n + sigma[k]
+                y = x * g[k] * g_inv[i]
+                known = value[target]
+                if known is None:
+                    value[target] = y
+                    orbit.append(target)
+                elif consistent and not (known - y).is_zero():
+                    consistent = False
+        if consistent:
+            rows: list[dict[int, PadicScalar]] = [{} for _ in range(n)]
+            for var in orbit:
+                i, k = divmod(var, n)
+                rows[i][k] = value[var]
+            basis.append(KMatrix.from_rows(p, rows, n))
+    return basis
+
+
 def commutant(generators: list[KMatrix], n: int) -> MatrixAlgebra:
-    """Algebra of all X with XG = GX for every generator G."""
+    """Algebra of all X with XG = GX for every generator G.
+
+    When every generator is monomial the commutant is spanned by orbitals
+    (``_orbital_commutant``); otherwise the n^2 linear equations are row
+    reduced.
+    """
     p = generators[0].p
+    monomials = [_monomial(G) for G in generators]
+    if all(m is not None for m in monomials):
+        return MatrixAlgebra(p, n, _orbital_commutant(p, n, monomials))
     ech = Echelon(p)
     for G in generators:
+        cols = G.transpose().data
         # (XG - GX)[i][j] = sum_k X[i,k] G[k,j] - G[i,k] X[k,j]
         for i in range(n):
             for j in range(n):
                 row: dict[int, PadicScalar] = {}
-                for k in range(n):
-                    g = G.entries[k][j]
+                for k, g in cols[j].items():
                     if not g.is_zero():
                         var = i * n + k
                         row[var] = row[var] + g if var in row else g
-                    g2 = G.entries[i][k]
-                    if not g2.is_zero():
+                for k, g in G.data[i].items():
+                    if not g.is_zero():
                         var = k * n + j
-                        row[var] = row[var] - g2 if var in row else -g2
+                        row[var] = row[var] - g if var in row else -g
                 row = {c: a for c, a in row.items() if not a.is_zero()}
                 if row:
                     ech.insert(row)
@@ -369,7 +488,7 @@ def center(alg: MatrixAlgebra, comm: MatrixAlgebra) -> MatrixAlgebra:
     p, n = alg.p, alg.n
     d = len(comm.basis)
     residuals = [
-        alg._echelon.reduce(dense_to_sparse(C.as_vector())) for C in comm.basis
+        alg._echelon.reduce(C.as_sparse_vector()) for C in comm.basis
     ]
     ech = Echelon(p)
     for j in sorted({j for r in residuals for j in r}):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from padicops import cli
 from padicops.cli import CheckReport, RunConfig, _named, main, run_suite
 from padicops.errors import CertificationFailed, ConfigInvalid
 
@@ -80,6 +81,18 @@ class TestRunSuite:
         assert report.status == "fail"
         assert report.detail == {"assertion": "block is not b * mult(eta)"}
 
+    def test_unexpected_exception_is_an_error_report(self, monkeypatch, capsys):
+        def broken(grp):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "verify_operator_identities", broken)
+        reports = {r.check_id: r for r in run_suite(RunConfig(), "crossed")}
+        report = reports.pop("crossed.operator_identities")
+        assert report.status == "error"
+        assert report.detail == {"exception": "ZeroDivisionError", "message": "boom"}
+        assert [r.status for r in reports.values()] == ["pass", "pass"]
+        assert "ZeroDivisionError: boom" in capsys.readouterr().err
+
     def test_serialization_omits_timing(self):
         report = CheckReport("x", {}, "pass", {}, wall_time_ms=12.5)
         assert "wall_time" not in json.dumps(report.as_dict())
@@ -142,6 +155,19 @@ class TestCommandLine:
         assert statuses[0] == statuses[1]
         assert any(status != "pass" for _, status in statuses[0])
         assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+    @pytest.mark.parametrize("j", ["1", "2"])
+    def test_crossed_suite_passes_at_precision_one(self, j):
+        """The idempotent cross-check runs in the block basis, so one
+        tracked digit no longer turns it into a spurious fail."""
+        proc = run_cli(
+            "--p", "5", "--l", "2", "--k", "2", "--j", j, "--precision", "1",
+            "--suite", "crossed",
+        )
+        statuses = {r["check_id"]: r["status"] for r in json.loads(proc.stdout)}
+        assert statuses["crossed.structured_idempotents"] == "pass"
+        assert set(statuses.values()) == {"pass"}
+        assert proc.returncode == 0
 
     def test_invalid_config_exit_code(self):
         proc = run_cli("--p", "5", "--l", "2", "--k", "3")

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from padicops import crossed
 from padicops.charduals import TruncatedGroup, fourier_analyze
+from padicops.cli import _random_structured
 from padicops.crossed import (
     StructuredCommutantElement,
     build_algebras,
@@ -30,14 +32,20 @@ from padicops.crossed import (
 from padicops.errors import CertificationFailed, IndexNotInG0
 from padicops.padic import PadicScalar
 from padicops.report import all_passed
+from padicops.spectral import is_orthoprojection
 from padicops.ultralinalg import (
     KMatrix,
     MatrixAlgebra,
+    algebra_span,
     center,
     commutant,
     is_orthonormal,
 )
-from test_ultralinalg import reference_algebra_span, reference_center
+from test_ultralinalg import (
+    elimination_commutant,
+    reference_algebra_span,
+    reference_center,
+)
 
 
 FREE = TruncatedGroup(2, 2, 2, 5)
@@ -168,6 +176,32 @@ class TestStructuredIdempotents:
             assert verdict.idempotent == (P @ P).equals(P)
 
 
+    @pytest.mark.parametrize("grp", [FREE, NONFREE], ids=["free", "nonfree"])
+    def test_block_basis_verdicts_match_point_basis(self, grp):
+        rng = random.Random(43)
+        for trial in range(16):
+            elem = _random_structured(grp, rng, idempotent=trial % 2 == 0)
+            verdict = idempotent_check(elem)
+            P = elem.to_matrix()
+            assert verdict.idempotent == (P @ P).equals(P)
+            if verdict.idempotent:
+                assert verdict.orthoprojection == is_orthoprojection(P, samples=10)
+
+    def test_block_matrix_is_the_block_form_of_the_point_matrix(self):
+        rng = random.Random(44)
+        for grp in (FREE, NONFREE):
+            elem = _random_structured(grp, rng, idempotent=False)
+            blocks = matrix_blocks(grp, elem.to_matrix())
+            for m in range(grp.order):
+                for n in range(grp.order):
+                    c = elem.coeff(m, n)
+                    if grp.in_g0(m - n):
+                        want = mult_operator_on_s(grp, eta(grp, m - n)).scale(c)
+                    else:
+                        want = KMatrix.zeros(grp.p, grp.s_size)
+                    assert blocks[m][n].equals(want), (m, n)
+
+
 class TestCommutantMembership:
     def test_structured_elements_commute_with_generators(self):
         rng = random.Random(42)
@@ -288,6 +322,64 @@ def test_spans_and_center_match_all_pairs_oracles(config):
     Z = center(RI, commutant(algebras.gens_i, n))
     assert Z.equals(reference_center(RI))
     assert (Z.dimension == 1) == grp.is_free
+
+
+# the block configurations and the 32-point crossed-32 one
+ORBITAL_CONFIGS = BLOCK_CONFIGS + [(17, 2, 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "config", ORBITAL_CONFIGS, ids=[",".join(map(str, c)) for c in ORBITAL_CONFIGS]
+)
+def test_orbital_commutants_match_elimination(config, monkeypatch):
+    p, l, k, j = config
+    grp = TruncatedGroup(l, k, j, p)
+    n = space_dim(grp)
+    algebras = build_algebras(grp)
+    for gens in (algebras.gens_i, algebras.gens_j):
+        orbital = commutant(gens, n)
+        assert orbital.equals(elimination_commutant(gens, n, monkeypatch))
+
+
+@pytest.mark.parametrize(
+    "config", BLOCK_CONFIGS, ids=[",".join(map(str, c)) for c in BLOCK_CONFIGS]
+)
+def test_derived_double_commutants_match_direct(config):
+    p, l, k, j = config
+    grp = TruncatedGroup(l, k, j, p)
+    n = space_dim(grp)
+    results = {r.name: r.passed for r in verify_commutation_theorem(grp)}
+    algebras = build_algebras(grp)
+    IC, JC = commutant(algebras.gens_i, n), commutant(algebras.gens_j, n)
+    direct = commutant(IC.basis, n).equals(algebras.RI) and commutant(
+        JC.basis, n
+    ).equals(algebras.RJ)
+    assert results["double_commutants_stable"] == direct
+
+
+def test_double_commutants_computed_directly_when_an_equality_fails(monkeypatch):
+    grp = NONFREE
+    n = space_dim(grp)
+    calls = []
+
+    def counted(generators, n):
+        calls.append(len(generators))
+        return commutant(generators, n)
+
+    def without_vm(grp):
+        algebras = build_algebras(grp)
+        algebras.RJ = algebra_span(algebras.gens_j[:1], n)  # scalars only
+        return algebras
+
+    monkeypatch.setattr(crossed, "commutant", counted)
+    verify_commutation_theorem(grp)
+    assert len(calls) == 2  # IC and JC; the double commutants are derived
+    calls.clear()
+    monkeypatch.setattr(crossed, "build_algebras", without_vm)
+    results = {r.name: r.passed for r in verify_commutation_theorem(grp)}
+    assert not results["commutant_of_UL_equals_VM_span"]
+    assert len(calls) == 4
+    assert not results["double_commutants_stable"]
 
 
 def test_partial_fourier_is_built_once_and_lazily():

@@ -4,7 +4,11 @@ import math
 import random
 from fractions import Fraction
 
-from padicops.padic import PadicScalar
+import pytest
+
+from padicops import ultralinalg
+from padicops.errors import PrecisionLoss
+from padicops.padic import PadicScalar, teichmuller_root
 from padicops.ultralinalg import (
     Echelon,
     KMatrix,
@@ -87,6 +91,51 @@ def reference_center(alg):
     return MatrixAlgebra(p, n, basis)
 
 
+def elimination_commutant(generators, n, monkeypatch):
+    """commutant() with the monomial test switched off, so that it row
+    reduces the n^2 equations however sparse the generators are."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ultralinalg, "_monomial", lambda G: None)
+        return commutant(generators, n)
+
+
+def dense_product(p, a, b):
+    """Product of dense grids: every entry scanned, operands that are zero
+    to precision skipped, each sum started from an exact zero."""
+    zero = PadicScalar.zero(p)
+    out = [[zero] * len(b[0]) for _ in a]
+    for i, arow in enumerate(a):
+        for t, x in enumerate(arow):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(b[t]):
+                if not y.is_zero():
+                    out[i][j] = out[i][j] + x * y
+    return out
+
+
+def same_scalar(x, y):
+    """Same kind and the same stored value, precision included."""
+    return (x.kind, x.frac, x.v, x.unit, x.N, x.bound) == (
+        y.kind, y.frac, y.v, y.unit, y.N, y.bound
+    )
+
+
+def random_mixed_scalar(p, rng, N=6):
+    """Exact zero, exact nonzero, capped unit or capped zero."""
+    r = rng.random()
+    if r < 0.3:
+        return PadicScalar.zero(p)
+    if r < 0.55:
+        value = Fraction(rng.randint(-4 * p, 4 * p) or 1)
+        return PadicScalar.from_rational(p, value * Fraction(p) ** rng.randint(-1, 2))
+    if r < 0.85:
+        unit = rng.randrange(1, p**N)
+        unit += unit % p == 0
+        return PadicScalar.capped(p, rng.randint(-1, 2), unit, rng.randint(1, N))
+    return PadicScalar.capped_zero(p, rng.randint(-1, 3))
+
+
 def unit_matrices(p, n):
     units = []
     for i in range(n):
@@ -123,7 +172,7 @@ class TestOperatorNorm:
             n = rng.randint(2, 4)
             A = random_matrix(p, n, rng, vrange=(-2, 2))
             col_exponents = [
-                vec_norm_exponent([A.entries[i][j] for i in range(n)])
+                vec_norm_exponent([A.entry(i, j) for i in range(n)])
                 for j in range(n)
             ]
             assert operator_norm(A) == min(col_exponents)
@@ -335,3 +384,121 @@ class TestSpanByGenerators:
         upper = algebra_span([E11, E12], 2)
         assert upper.dimension == 3
         assert upper.equals(reference_algebra_span([E11, E12], 2))
+
+
+class TestSparseRows:
+    def test_capped_zero_below_certified_minimum_raises(self):
+        p = 5
+        zero, exact = PadicScalar.zero(p), PadicScalar.from_int(p, 25)
+        low = KMatrix(p, [[exact, zero], [PadicScalar.capped_zero(p, 1), zero]])
+        with pytest.raises(PrecisionLoss):
+            operator_norm(low)
+        high = KMatrix(p, [[exact, zero], [PadicScalar.capped_zero(p, 2), zero]])
+        assert operator_norm(high) == 2
+
+    def test_capped_zero_from_cancellation_is_kept(self):
+        p = 5
+        U = KMatrix(p, [[PadicScalar.capped(p, 0, 7, 3)]])
+        D = KMatrix.from_int_rows(p, [[p**5]])
+        cancelled = U - U
+        assert [a.kind for a in cancelled.values()] == ["zero"]
+        with pytest.raises(PrecisionLoss):
+            operator_norm(cancelled + D)
+
+    def test_capped_zeros_count_as_zero(self):
+        p = 7
+        zero = PadicScalar.zero(p)
+        Z = KMatrix(
+            p,
+            [
+                [PadicScalar.capped_zero(p, 2), zero],
+                [zero, PadicScalar.capped_zero(p, -1)],
+            ],
+        )
+        assert len(list(Z.values())) == 2
+        assert Z.is_zero()
+        assert Z.equals(KMatrix.zeros(p, 2))
+        assert KMatrix.zeros(p, 2).equals(Z)
+        A = KMatrix.from_int_rows(p, [[1, 2], [0, 3]])
+        assert (A + Z).equals(A)
+        assert not (A + Z).is_zero()
+
+    def test_exact_zeros_are_not_stored(self):
+        p = 3
+        A = KMatrix.from_int_rows(p, [[1, 0], [0, 0]])
+        assert A.data == [{0: A.entry(0, 0)}, {}]
+        assert (A - A).data == [{}, {}]
+        assert A.scale(PadicScalar.zero(p)).data == [{}, {}]
+        assert A.entry(1, 1).is_exact_zero()
+
+    def test_arithmetic_matches_dense_oracle(self):
+        rng = random.Random(31)
+        for p in (3, 5):
+            for _ in range(60):
+                n, m, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+                a = [[random_mixed_scalar(p, rng) for _ in range(m)] for _ in range(n)]
+                b = [[random_mixed_scalar(p, rng) for _ in range(k)] for _ in range(m)]
+                c = [[random_mixed_scalar(p, rng) for _ in range(m)] for _ in range(n)]
+                A, B, C = KMatrix(p, a), KMatrix(p, b), KMatrix(p, c)
+                product, want = A @ B, dense_product(p, a, b)
+                for i in range(n):
+                    for j in range(k):
+                        assert same_scalar(product.entry(i, j), want[i][j]), (i, j)
+                total = A + C
+                for i in range(n):
+                    for j in range(m):
+                        assert same_scalar(total.entry(i, j), a[i][j] + c[i][j])
+
+
+class TestOrbitalCommutant:
+    def test_monomial_detection(self):
+        p = 5
+
+        def monomial(grid):
+            return ultralinalg._monomial(KMatrix.from_int_rows(p, grid))
+
+        sigma, g = monomial([[0, 2], [3, 0]])
+        assert sigma == [1, 0] and [x.frac for x in g] == [2, 3]
+        assert monomial([[1, 1], [0, 1]]) is None  # two entries in a row
+        assert monomial([[1, 0], [1, 0]]) is None  # a repeated column
+        assert monomial([[1, 0], [0, 0]]) is None  # an empty row
+        zero, one = PadicScalar.zero(p), PadicScalar.one(p)
+        capped_zero = KMatrix(p, [[one, zero], [zero, PadicScalar.capped_zero(p, 3)]])
+        assert ultralinalg._monomial(capped_zero) is None
+
+    def test_inconsistent_cycle_forces_zero(self):
+        # X diag(1, -1) = diag(1, -1) X forces X[0,1] = -X[0,1] = 0
+        p = 5
+        comm = commutant([KMatrix.from_int_rows(p, [[1, 0], [0, -1]])], 2)
+        E11, _, _, E22 = unit_matrices(p, 2)
+        assert comm.dimension == 2
+        assert comm.equals(MatrixAlgebra(p, 2, [E11, E22]))
+
+    def test_matches_elimination_on_random_monomial_generators(self, monkeypatch):
+        rng = random.Random(37)
+        p = 5
+        zeta = teichmuller_root(p, 4, 8)
+        weights = [
+            PadicScalar.one(p),
+            PadicScalar.from_int(p, -1),
+            PadicScalar.from_int(p, 3),
+            zeta,
+            zeta * zeta * zeta,
+        ]
+        dims = set()
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                sigma = list(range(n))
+                rng.shuffle(sigma)
+                rows = [[PadicScalar.zero(p)] * n for _ in range(n)]
+                for i in range(n):
+                    rows[i][sigma[i]] = rng.choice(weights)
+                gens.append(KMatrix(p, rows))
+            orbital = commutant(gens, n)
+            assert orbital.equals(elimination_commutant(gens, n, monkeypatch))
+            for X in orbital.basis:
+                assert all((X @ G).equals(G @ X) for G in gens)
+            dims.add((n, orbital.dimension))
+        assert len(dims) > 10
