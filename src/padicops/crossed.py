@@ -472,9 +472,9 @@ def verify_commutation_theorem(grp: TruncatedGroup) -> list[CheckResult]:
         )
     )
     # A commutant depends only on the span of its generating set, and the
-    # commutant of a set is that of the algebra it generates.  So IC = RJ
-    # gives IC' = RJ' = (gens_j)' = JC = RI, and JC = RI gives JC' = IC = RJ:
-    # with both equalities certified the double commutants are stable.
+    # commutant of a set is that of the algebra it generates.  So once
+    # IC = RJ and JC = RI are certified, IC' = RJ' = (gens_j)' = JC = RI
+    # and JC' = RI' = (gens_i)' = IC = RJ: the double commutants are stable.
     results.append(
         CheckResult(
             "double_commutants_stable",
