@@ -440,10 +440,16 @@ class TestSparseRows:
                 b = [[random_mixed_scalar(p, rng) for _ in range(k)] for _ in range(m)]
                 c = [[random_mixed_scalar(p, rng) for _ in range(m)] for _ in range(n)]
                 A, B, C = KMatrix(p, a), KMatrix(p, b), KMatrix(p, c)
-                product, want = A @ B, dense_product(p, a, b)
-                for i in range(n):
-                    for j in range(k):
-                        assert same_scalar(product.entry(i, j), want[i][j]), (i, j)
+                # rows whose columns are stored out of order sum in another
+                # order; sums of scalars do not depend on it
+                shuffled = KMatrix.from_rows(
+                    p, [dict(rng.sample(list(r.items()), len(r))) for r in A.data], m
+                )
+                want = dense_product(p, a, b)
+                for product in (A @ B, shuffled @ B):
+                    for i in range(n):
+                        for j in range(k):
+                            assert same_scalar(product.entry(i, j), want[i][j]), (i, j)
                 total = A + C
                 for i in range(n):
                     for j in range(m):
