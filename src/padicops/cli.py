@@ -43,6 +43,7 @@ from .reduction import (
     is_baer,
     verify_crossed_reduction,
 )
+from .randmat import random_projection
 from .report import CheckResult
 from .spectral import (
     PolynomialOverK,
@@ -117,48 +118,6 @@ class CheckReport:
 
 def _exp_str(e) -> str:
     return "inf" if e == float("inf") else str(int(e))
-
-
-def _unimodular(p: int, n: int, rng: random.Random) -> tuple[KMatrix, KMatrix]:
-    """Random norm-1 matrix with norm-1 inverse (product of unipotents).
-
-    A unipotent E has I - E nilpotent, so E^-1 = sum over k < n of (I - E)^k
-    and the inverse of Q = L U is U^-1 L^-1 without elimination.
-    """
-    zero, one = PadicScalar.zero(p), PadicScalar.one(p)
-    identity = KMatrix.identity(p, n)
-
-    def unipotent(lower: bool) -> tuple[KMatrix, KMatrix]:
-        E = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if (i > j) if lower else (i < j):
-                    E[i][j] = PadicScalar.from_int(p, rng.randint(-3 * p, 3 * p))
-        E = KMatrix(p, E)
-        nilpotent = identity - E
-        inv = term = identity
-        for _ in range(n - 1):
-            term = term @ nilpotent
-            inv = inv + term
-        return E, inv
-
-    L, L_inv = unipotent(True)
-    U, U_inv = unipotent(False)
-    Q, Q_inv = L @ U, U_inv @ L_inv
-    if not (Q @ Q_inv).equals(identity):
-        raise CertificationFailed("Q Q^-1 is not the identity")
-    return Q, Q_inv
-
-
-def _random_projection(p: int, n: int, rng: random.Random) -> KMatrix:
-    """Q D Q^-1 for a random unimodular Q and a random 0/1 diagonal D."""
-    Q, Q_inv = _unimodular(p, n, rng)
-    diag = [rng.randint(0, 1) for _ in range(n)]
-    zero, one = PadicScalar.zero(p), PadicScalar.one(p)
-    D = KMatrix(
-        p, [[one if (i == j and diag[i]) else zero for j in range(n)] for i in range(n)]
-    )
-    return Q @ D @ Q_inv
 
 
 def _mihara_matrix(p: int) -> KMatrix:
@@ -319,7 +278,7 @@ def check_random_orthoprojections(config: RunConfig) -> tuple[str, dict]:
     rng = config.rng(check_random_orthoprojections.check_id)
     n_ops = max(5, config.n_samples // 2)
     for _ in range(n_ops):
-        P = _random_projection(p, rng.randint(2, 4), rng)
+        P = random_projection(p, rng.randint(2, 4), rng)
         if not is_orthoprojection(P, samples=10, seed=rng.randrange(2**30)):
             raise CertificationFailed("projection Q D Q^-1 is not an orthoprojection")
     return "pass", {"projections_checked": n_ops}
@@ -450,7 +409,7 @@ def _random_structured(grp: TruncatedGroup, rng: random.Random, idempotent: bool
     for i in range(grp.order):
         cosets.setdefault(i % grp.g0_modulus, []).append(i)
     for idx in cosets.values():
-        B = _random_projection(p, len(idx), rng)
+        B = random_projection(p, len(idx), rng)
         for r, row in enumerate(B.data):
             for c, value in row.items():
                 if not value.is_zero():

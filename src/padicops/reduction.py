@@ -247,27 +247,121 @@ def _annihilator_generated_by_idempotent(
     return e
 
 
-def _canonical_subspace(alg: FiniteAlgebra, L: list[np.ndarray]) -> tuple:
-    if not L:
-        return ()
-    stack = np.array([x.reshape(-1) for x in L], dtype=np.int64)
-    R, pivots = fpalg.rref(stack, alg.p)
-    return tuple(map(tuple, R[: len(pivots)].tolist()))
+# int64 entries per array of one elimination stack in the Baer search: a
+# chunk holds max(1, _STACK_ENTRIES // (n^2 dim)) annihilator systems of
+# n^2 x dim, or max(1, _STACK_ENTRIES // (2 dim^2)) intersection systems
+# of 2 dim x dim, so its memory stays bounded whatever the budget
+_STACK_ENTRIES = 1 << 13
 
 
-def _intersect_subspaces(
-    alg: FiniteAlgebra, A: list[np.ndarray], B: list[np.ndarray]
-) -> list[np.ndarray]:
-    if not A or not B:
-        return []
-    SA = np.array([x.reshape(-1) for x in A], dtype=np.int64)
-    SB = np.array([x.reshape(-1) for x in B], dtype=np.int64)
-    # x = c . SA = d . SB  ->  [SA^T | -SB^T] (c, d) = 0
-    system = np.hstack([SA.T, (-SB.T) % alg.p])
-    sols = fpalg.nullspace(system, alg.p)
-    vecs = [(sol[: SA.shape[0]] @ SA) % alg.p for sol in sols]
-    basis = alg.subspace_basis([v.reshape(alg.n, alg.n) for v in vecs])
-    return basis
+def _line_representatives(p: int, dim: int, size: int):
+    """Coordinates of 0 and of the first element of every line through 0.
+
+    In ``iter_elements`` order (first coordinate fastest) the first
+    element of a line {c s : c != 0} is its multiple whose last nonzero
+    coordinate is 1.  They come in that order, in chunks of at most size
+    rows: zero, then for i = 0 .. dim - 1 the elements with coordinate i
+    equal to 1, higher coordinates 0 and lower ones in any value.
+    """
+    yield np.zeros((1, dim), dtype=np.int64)
+    for i in range(dim):
+        for start in range(0, p**i, size):
+            k = np.arange(start, min(start + size, p**i), dtype=np.int64)
+            coords = np.zeros((len(k), dim), dtype=np.int64)
+            coords[:, :i] = k[:, None] // p ** np.arange(i, dtype=np.int64) % p
+            coords[:, i] = 1
+            yield coords
+
+
+def _close_under_intersection(
+    alg: FiniteAlgebra, seen: dict, spans: list[np.ndarray]
+) -> None:
+    """Add every intersection of seen's subspaces to seen, in one pass.
+
+    spans[i] is the ``nullspace_stack`` slice, in coordinates, of the i-th
+    subspace in seen, and seen's keys are their bytes.  Each original
+    subspace a, in insertion order, meets every subspace after it that
+    exists when its turn starts: the later originals and every
+    intersection found so far.  That closes seen.  By induction on |J|,
+    the intersection over J of the originals is in seen after the turn of
+    max J: the intersection over J minus max J was there before, and it
+    is an original (met with max J at the earlier of their two turns) or
+    an intersection (indexed after every original).
+
+    The partners of a turn are fixed when it starts, so they are
+    intersected with a as one stack: A ∩ B is the null space of A's and
+    B's equations stacked.
+    """
+    p, n, dim = alg.p, alg.n, alg.dimension
+    size = max(1, _STACK_ENTRIES // (2 * dim * dim))
+    # the null space of a span's slice is the subspace's equations
+    equations = fpalg.nullspace_stack(np.array(spans), p)[0]
+    found: dict[bytes, np.ndarray] = {}
+    for a in range(len(spans)):
+        added = []
+        for start in range(a + 1, len(equations), size):
+            partners = equations[start : start + size]
+            systems = np.concatenate(
+                [np.broadcast_to(equations[a], partners.shape), partners], axis=1
+            )
+            for k in fpalg.nullspace_stack(systems, p)[0]:
+                key = k.tobytes()
+                if key not in seen and key not in found:
+                    found[key] = k
+                    added.append(k)
+        if added:
+            new = fpalg.nullspace_stack(np.array(added), p)[0]
+            equations = np.concatenate([equations, new])
+    if found:
+        # an intersection's basis is its rref in matrix coordinates; every
+        # intersection comes after the originals, so seen keeps the order
+        # in which they were found
+        R, pivots = fpalg.rref_stack(np.array(list(found.values())) @ alg.stack, p)
+        for key, rows, rank in zip(found, R, pivots.sum(axis=1)):
+            seen[key] = list(rows[:rank].reshape(-1, n, n))
+
+
+def _annihilator_closure(
+    alg: FiniteAlgebra, mode: str, n_samples: int, seed: int
+) -> dict[bytes, list[np.ndarray]]:
+    """The annihilators that ``is_baer`` tests, in order, with their bases.
+
+    Those of the searched elements come first, in the order the elements
+    are visited, then the intersections that close them.  Each chunk of
+    elements s is solved as one stack of systems x s = 0 over the
+    coordinates of x.  A subspace's key is the bytes of its
+    ``nullspace_stack`` slice: the basis with the identity on its free
+    coordinates, which depends on nothing but the subspace.
+    """
+    p, n, dim = alg.p, alg.n, alg.dimension
+    size = max(1, _STACK_ENTRIES // (n**2 * dim))
+    if mode == "exhaustive":
+        chunks = _line_representatives(p, dim, size)
+    else:
+        rng = random.Random(seed)
+        samples = [[rng.randrange(p) for _ in range(dim)] for _ in range(n_samples)]
+        coords = np.vstack(
+            [
+                np.eye(dim, dtype=np.int64),
+                np.array(samples, dtype=np.int64).reshape(-1, dim),
+            ]
+        )
+        chunks = (coords[i : i + size] for i in range(0, len(coords), size))
+    basis = alg.stack.reshape(dim, n, n)
+    seen: dict[bytes, list[np.ndarray]] = {}
+    spans = []
+    for chunk in chunks:
+        elements = (chunk @ alg.stack % p).reshape(-1, 1, n, n)
+        # column i of system s is B_i s, flattened
+        systems = (basis @ elements).reshape(len(chunk), dim, n * n)
+        K, free = fpalg.nullspace_stack(systems.transpose(0, 2, 1), p)
+        for k, f in zip(K, free):
+            key = k.tobytes()
+            if key not in seen:
+                seen[key] = list((k[f] @ alg.stack % p).reshape(-1, n, n))
+                spans.append(k)
+    _close_under_intersection(alg, seen, spans)
+    return seen
 
 
 DEFAULT_ENUM_BUDGET = 200_000
@@ -282,49 +376,23 @@ def is_baer(
 ) -> BaerReport:
     """Is every one-sided annihilator generated by an idempotent?
 
-    Exhaustive mode enumerates the annihilators of all cyclic right
-    ideals and closes them under intersection; feasible when p^dim is
-    within budget.  Sampled mode tests the basis elements plus a seeded
-    random family; a positive verdict then only means "no counterexample
-    found".
+    Exhaustive mode finds the annihilators of all cyclic right ideals and
+    closes them under intersection; feasible when p^dim is within budget.
+    As ann(c s) = ann(s) for every c != 0, it visits zero and one element
+    per line through the origin, (p^dim - 1)/(p - 1) + 1 elements, in the
+    order of ``iter_elements``.  Sampled mode tests the basis elements
+    plus a seeded random family; a positive verdict then only means "no
+    counterexample found".  In both modes the annihilators, and the
+    intersections that close them, are computed on stacks of systems by
+    ``fpalg``'s stacked elimination.
     """
+    p, dim = alg.p, alg.dimension
     if mode == "auto":
-        mode = "exhaustive" if alg.p**alg.dimension <= budget else "sampled"
-    if mode == "exhaustive" and alg.p**alg.dimension > budget:
-        raise BudgetExceeded(
-            f"p^dim = {alg.p}^{alg.dimension} exceeds budget {budget}"
-        )
-    if mode == "exhaustive":
-        elements = list(alg.iter_elements())
-    else:
-        rng = random.Random(seed)
-        elements = list(alg.basis)
-        for _ in range(n_samples):
-            elements.append(alg.element([rng.randrange(alg.p) for _ in range(alg.dimension)]))
-    seen: dict[tuple, list[np.ndarray]] = {}
-    for s in elements:
-        L = left_annihilator(alg, [s], check_ideal=False)
-        seen.setdefault(_canonical_subspace(alg, L), L)
-    # close under intersection (annihilators of larger subsets), each
-    # unordered pair once: L ∩ L = L, and L2 ∩ L1 = L1 ∩ L2
-    subspaces = list(seen.values())  # seen's insertion order
-    done: set[tuple[int, int]] = set()
-    frontier = list(range(len(subspaces)))
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in range(len(subspaces)):
-                if a == b or (b, a) in done:
-                    continue
-                done.add((a, b))
-                inter = _intersect_subspaces(alg, subspaces[a], subspaces[b])
-                key = _canonical_subspace(alg, inter)
-                if key not in seen:
-                    seen[key] = inter
-                    new.append(len(subspaces))
-                    subspaces.append(inter)
-        frontier = new
-    for key, L in seen.items():
+        mode = "exhaustive" if p**dim <= budget else "sampled"
+    if mode == "exhaustive" and p**dim > budget:
+        raise BudgetExceeded(f"p^dim = {p}^{dim} exceeds budget {budget}")
+    seen = _annihilator_closure(alg, mode, n_samples, seed)
+    for L in seen.values():
         e = _annihilator_generated_by_idempotent(alg, L)
         if e is None:
             return BaerReport(

@@ -22,7 +22,7 @@ from padicops.charduals import (
     haar_integrate,
     trig_poly_approx,
 )
-from padicops.cli import _unimodular
+from padicops.randmat import unimodular
 from padicops.crossed import (
     StructuredCommutantElement,
     extract_block_coefficients,
@@ -77,7 +77,7 @@ def test_criterion_2_orthoprojection_criterion():
     zero, one = PadicScalar.zero(p), PadicScalar.one(p)
     for trial in range(200):
         n = rng.randint(2, 4)
-        Q, Qinv = _unimodular(p, n, rng)
+        Q, Qinv = unimodular(p, n, rng)
         diag = [rng.randint(0, 1) for _ in range(n)]
         D = KMatrix(
             p,

@@ -1,11 +1,18 @@
 """Residue reduction, unit-ball lattices, annihilators, Baer classification."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fp_reference import (
+    canonical_subspace,
+    intersect_subspaces,
+    reference_annihilators,
+    reference_close,
+)
 from padicops import fpalg, reduction
 from padicops.charduals import TruncatedGroup
 from padicops.errors import CertificationFailed, NotInUnitBall
@@ -57,6 +64,46 @@ def dual_numbers(p):
     I2 = np.eye(2, dtype=np.int64)
     N = np.array([[0, 1], [0, 0]], dtype=np.int64)
     return FiniteAlgebra(p, 2, [I2, N]), N
+
+
+def _gorenstein_algebra(p):
+    """F_p[x, y, z]/(xy, xz, yz, x^2 - y^2, x^2 - z^2), basis 1, x, y, z, w.
+
+    Given by its regular representation: basis element i acts on the
+    coordinates of the basis by left multiplication (w = x^2 = y^2 = z^2).
+    """
+    products = {(i, i): 4 for i in (1, 2, 3)}
+    products.update({(0, j): j for j in range(5)})
+    products.update({(j, 0): j for j in range(5)})
+    basis = []
+    for i in range(5):
+        L = np.zeros((5, 5), dtype=np.int64)
+        for j in range(5):
+            if (i, j) in products:
+                L[products[i, j], j] = 1
+        basis.append(L)
+    return FiniteAlgebra(p, 5, basis)
+
+
+def _fixpoint_closure(alg):
+    """(number of single-element annihilators, closure under intersection).
+
+    One annihilator per element, then every ordered pair until nothing
+    new appears.
+    """
+    closure = reference_annihilators(alg, alg.iter_elements())
+    singles = len(closure)
+    grown = True
+    while grown:
+        grown = False
+        for L1 in list(closure.values()):
+            for L2 in list(closure.values()):
+                inter = intersect_subspaces(alg, L1, L2)
+                key = canonical_subspace(alg, inter)
+                if key not in closure:
+                    closure[key] = inter
+                    grown = True
+    return singles, closure
 
 
 class TestReduceMatrix:
@@ -181,24 +228,30 @@ class TestBaer:
                 B[cell] = 1
             basis.append(B)
         alg = FiniteAlgebra(p, n, basis)
-        canonical = reduction._canonical_subspace
-        closure = {}
-        for s in alg.iter_elements():
-            L = left_annihilator(alg, [s], check_ideal=False)
-            closure.setdefault(canonical(alg, L), L)
-        singles = len(closure)
-        grown = True
-        while grown:  # every ordered pair, until nothing new appears
-            grown = False
-            for L1 in list(closure.values()):
-                for L2 in list(closure.values()):
-                    inter = reduction._intersect_subspaces(alg, L1, L2)
-                    key = canonical(alg, inter)
-                    if key not in closure:
-                        closure[key] = inter
-                        grown = True
+        singles, closure = _fixpoint_closure(alg)
         report = is_baer(alg, mode="exhaustive")
         assert (singles, len(closure)) == (11, 12)
+        assert report.detail["annihilators_tested"] == len(closure)
+        assert report.is_baer is False
+
+    def test_closure_needs_an_intersection_with_an_intersection(self):
+        # the local algebra F_2[x, y, z]/(xy, xz, yz, x^2 - y^2, x^2 - z^2):
+        # for s = ax + by + cz + dw (w = x^2), ann(s) is w plus the part of
+        # span{x, y, z} orthogonal to (a, b, c), so the socle span{w} is the
+        # intersection of three annihilators and of no two: the closure
+        # must also intersect the intersections it finds
+        alg = _gorenstein_algebra(2)
+        singles, closure = _fixpoint_closure(alg)
+        originals = list(reference_annihilators(alg, alg.iter_elements()).values())
+        pairwise = {
+            canonical_subspace(alg, intersect_subspaces(alg, A, B))
+            for i, A in enumerate(originals)
+            for B in originals[i + 1 :]
+        }
+        socle = canonical_subspace(alg, [alg.basis[4]])
+        assert (singles, len(closure)) == (10, 18)
+        assert socle in closure and socle not in pairwise
+        report = is_baer(alg, mode="exhaustive")
         assert report.detail["annihilators_tested"] == len(closure)
         assert report.is_baer is False
 
@@ -243,6 +296,105 @@ class TestBaer:
         assert dedekind_finite_spotcheck(full_matrix_algebra_fp(3, 2), trials=200)
         alg, _ = dual_numbers(3)
         assert dedekind_finite_spotcheck(alg, trials=50)
+
+
+def _upper_triangular_fp(p, n):
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    basis = []
+    for cell in cells:
+        E = np.zeros((n, n), dtype=np.int64)
+        E[cell] = 1
+        basis.append(E)
+    return FiniteAlgebra(p, n, basis)
+
+
+ORACLE_ALGEBRAS = {
+    "M2(F3)": lambda: full_matrix_algebra_fp(3, 2),
+    "M2(F5)": lambda: full_matrix_algebra_fp(5, 2),
+    "dual(F3)": lambda: dual_numbers(3)[0],
+    "dual(F5)": lambda: dual_numbers(5)[0],
+    "T2(F3)": lambda: _upper_triangular_fp(3, 2),
+    "gorenstein(F3)": lambda: _gorenstein_algebra(3),
+}
+
+
+def _reference_report(alg, seen):
+    """(is_baer, annihilators_tested, failing annihilator) from a seen dict."""
+    for L in seen.values():
+        if reduction._annihilator_generated_by_idempotent(alg, L) is None:
+            return False, len(seen), [x.tolist() for x in L]
+    return True, len(seen), None
+
+
+def _assert_same_search(alg, seen, reference, report):
+    assert [canonical_subspace(alg, L) for L in seen.values()] == list(reference)
+    for L, M in zip(seen.values(), reference.values()):
+        assert [x.tolist() for x in L] == [x.tolist() for x in M]
+    failing = report.failing_annihilator
+    assert _reference_report(alg, reference) == (
+        report.is_baer,
+        report.detail["annihilators_tested"],
+        None if failing is None else [x.tolist() for x in failing],
+    )
+
+
+class TestBaerSearchAgainstEveryElement:
+    """The stacked search against one annihilator per element."""
+
+    @pytest.mark.parametrize("entries", [1, 50, reduction._STACK_ENTRIES])
+    @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+    def test_line_representatives_match_all_elements(self, name, entries, monkeypatch):
+        # entries = 1 puts each element in its own chunk
+        monkeypatch.setattr(reduction, "_STACK_ENTRIES", entries)
+        alg = ORACLE_ALGEBRAS[name]()
+        reference = reference_annihilators(alg, alg.iter_elements())
+        reference_close(alg, reference)
+        seen = reduction._annihilator_closure(alg, "exhaustive", 0, 0)
+        _assert_same_search(alg, seen, reference, is_baer(alg, mode="exhaustive"))
+
+    @pytest.mark.parametrize("p, dim", [(2, 1), (2, 5), (3, 3), (5, 2), (17, 1)])
+    def test_representatives_are_first_on_their_lines(self, p, dim):
+        everything = [tuple(c[::-1]) for c in itertools.product(range(p), repeat=dim)]
+        first, lines = [], set()
+        for c in everything:
+            line = frozenset(tuple(k * x % p for x in c) for k in range(1, p))
+            if line not in lines:
+                lines.add(line)
+                first.append(c)
+        chunks = list(reduction._line_representatives(p, dim, 3))
+        assert all(1 <= len(chunk) <= 3 for chunk in chunks)
+        got = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+        assert got == first
+        assert len(got) == (p**dim - 1) // (p - 1) + 1
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+    def test_sampled_mode_matches_per_element_loop(self, name, monkeypatch):
+        monkeypatch.setattr(reduction, "_STACK_ENTRIES", 64)
+        alg = ORACLE_ALGEBRAS[name]()
+        rng = random.Random(7)
+        elements = list(alg.basis) + [
+            alg.element([rng.randrange(alg.p) for _ in range(alg.dimension)])
+            for _ in range(25)
+        ]
+        reference = reference_annihilators(alg, elements)
+        reference_close(alg, reference)
+        seen = reduction._annihilator_closure(alg, "sampled", 25, 7)
+        report = is_baer(alg, mode="sampled", n_samples=25, seed=7)
+        assert report.search_mode == "sampled"
+        _assert_same_search(alg, seen, reference, report)
+
+    def test_sampled_mode_on_full_matrices_over_f5(self):
+        alg = full_matrix_algebra_fp(5, 3)
+        rng = random.Random(3)
+        elements = list(alg.basis) + [
+            alg.element([rng.randrange(5) for _ in range(alg.dimension)])
+            for _ in range(40)
+        ]
+        reference = reference_annihilators(alg, elements)
+        reference_close(alg, reference)
+        report = is_baer(alg, mode="sampled", n_samples=40, seed=3)
+        seen = reduction._annihilator_closure(alg, "sampled", 40, 3)
+        _assert_same_search(alg, seen, reference, report)
 
 
 class TestCrossedReduction:

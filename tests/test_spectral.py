@@ -134,14 +134,14 @@ class TestFunctionalCalculus:
 
 class TestOrthoprojectionCriterion:
     def test_conjugated_diagonal_idempotents(self):
-        from padicops.cli import _unimodular
+        from padicops.randmat import unimodular
 
         rng = random.Random(24)
         p = 5
         zero, one = PadicScalar.zero(p), PadicScalar.one(p)
         for _ in range(25):
             n = rng.randint(2, 4)
-            Q, Qinv = _unimodular(p, n, rng)
+            Q, Qinv = unimodular(p, n, rng)
             D = diag(p, [one if rng.random() < 0.5 else zero for _ in range(n)])
             P = Q @ D @ Qinv
             assert is_orthoprojection(P, samples=10, seed=rng.randrange(2**30))
