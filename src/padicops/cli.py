@@ -36,6 +36,7 @@ from .crossed import (
 )
 from .errors import CertificationFailed, ConfigInvalid, PadicopsError
 from .padic import DEFAULT_PRECISION, PadicScalar, parse_scalar, random_exact
+from .randmat import random_projection
 from .reduction import (
     FiniteAlgebra,
     classify_type,
@@ -43,7 +44,6 @@ from .reduction import (
     is_baer,
     verify_crossed_reduction,
 )
-from .randmat import random_projection
 from .report import CheckResult
 from .spectral import (
     PolynomialOverK,

@@ -70,7 +70,7 @@ def test_empty_shapes():
     assert fpalg.rref(np.zeros((2, 0), dtype=np.int64), 7)[1] == []
 
 
-def test_solve_uses_the_stacked_rref():
+def test_solve_finds_a_solution_or_none():
     p = 17
     M = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 5]])
     x = fpalg.solve(M, [6, 12, 6], p)

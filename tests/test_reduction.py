@@ -531,16 +531,6 @@ class TestFrobeniusSplit:
             offset += size
         return FiniteAlgebra(p, n, basis)
 
-    @staticmethod
-    def _upper_triangular(p, n):
-        basis = []
-        for i in range(n):
-            for j in range(i, n):
-                E = np.zeros((n, n), dtype=np.int64)
-                E[i, j] = 1
-                basis.append(E)
-        return FiniteAlgebra(p, n, basis)
-
     def _assert_matches_brute_force(self, alg):
         got = [_key(e) for e in _central_primitive_idempotents(alg)]
         assert len(got) == len(set(got))
@@ -554,7 +544,7 @@ class TestFrobeniusSplit:
     def test_center_split_on_upper_triangular_algebras(self):
         for p in (2, 3, 5):
             for n in (2, 3):
-                self._assert_matches_brute_force(self._upper_triangular(p, n))
+                self._assert_matches_brute_force(_upper_triangular_fp(p, n))
 
     def test_center_split_on_dual_numbers(self):
         for p in (2, 3, 5, 7):
