@@ -100,17 +100,22 @@ class PadicScalar:
 
     # ----- predicates ---------------------------------------------------
 
+    # The predicates test the numerator: Fraction.__eq__ against 0 costs
+    # about 2.5 times as much, and they run on every entry of every product.
+
     def is_zero(self) -> bool:
         """True if the element is zero to the full tracked precision."""
         if self.kind == "exact":
-            return self.frac == 0
+            return not self.frac.numerator
         return self.kind == "zero"
 
     def is_exact_zero(self) -> bool:
-        return self.kind == "exact" and self.frac == 0
+        return self.kind == "exact" and not self.frac.numerator
 
     def is_certified_nonzero(self) -> bool:
-        return (self.kind == "unit") or (self.kind == "exact" and self.frac != 0)
+        return self.kind == "unit" or (
+            self.kind == "exact" and self.frac.numerator != 0
+        )
 
     # ----- valuation ----------------------------------------------------
 

@@ -47,9 +47,23 @@ class PolynomialOverK:
         return len(self.coefficients) - 1
 
     def eval_matrix(self, A: KMatrix) -> KMatrix:
+        """Horner: acc <- acc A + c I, with c added to the diagonal in place.
+
+        c * 1 has the kind, value, v, unit, N and bound of c, exact or
+        capped, so this is entrywise the sum with the scaled identity.
+        """
         acc = KMatrix.zeros(A.p, A.rows)
         for c in reversed(self.coefficients):
-            acc = (acc @ A) + KMatrix.identity(A.p, A.rows).scale(c)
+            acc = acc @ A
+            if c.is_exact_zero():
+                continue
+            for i, row in enumerate(acc.data):
+                a = row.get(i)
+                s = c if a is None else a + c
+                if s.is_exact_zero():
+                    del row[i]
+                else:
+                    row[i] = s
         return acc
 
 
@@ -90,13 +104,37 @@ class SpectralData:
                 raise CertificationFailed("spectral reconstruction failed")
 
 
-def check_norm_identity(A: KMatrix, q: PolynomialOverK) -> NormIdentityVerdict:
-    """Does ||[q(A)]^2|| = ||q(A)||^2 hold, by exact exponent comparison?"""
-    B = q.eval_matrix(A)
+def norm_square_verdict(B: KMatrix) -> NormIdentityVerdict:
+    """Does ||B^2|| = ||B||^2 hold, by exact exponent comparison?"""
     eB = operator_norm(B)
     eB2 = operator_norm(B @ B)
     rhs = eB * 2 if eB != INF else INF
     return NormIdentityVerdict(holds=(eB2 == rhs), lhs=eB2, rhs=rhs)
+
+
+def check_norm_identity(A: KMatrix, q: PolynomialOverK) -> NormIdentityVerdict:
+    """Does ||[q(A)]^2|| = ||q(A)||^2 hold, by exact exponent comparison?"""
+    return norm_square_verdict(q.eval_matrix(A))
+
+
+def _root_products(factors: list[KMatrix], degree_bound: int):
+    """Yield (idx, F[idx[0]] @ ... @ F[idx[-1]]) over nondecreasing index tuples.
+
+    Degree by degree, in ``combinations_with_replacement`` order.  Each
+    product is its prefix's product times one factor, so a tuple of
+    degree d >= 2 costs one matrix product; only the previous degree's
+    products are kept.
+    """
+    prev = {(i,): F for i, F in enumerate(factors)}
+    for deg in range(1, degree_bound + 1):
+        if deg > 1:
+            prev = {
+                idx: prev[idx[:-1]] @ factors[idx[-1]]
+                for idx in itertools.combinations_with_replacement(
+                    range(len(factors)), deg
+                )
+            }
+        yield from prev.items()
 
 
 def normality_scan(
@@ -112,16 +150,26 @@ def normality_scan(
     eigenvalues up to the degree bound, plus seeded random monic
     polynomials with coefficient valuations in [-2, 2].  Returns every
     violating polynomial; empty means no violation found (not a proof).
+    A must be square.
+
+    The root products are evaluated by shared prefixes (``_root_products``
+    on the factors A - lambda I, one matrix product per polynomial), and
+    a polynomial's coefficients are expanded only when it violates the
+    identity.  On exact inputs this gives the matrices, verdicts and
+    order of per-polynomial Horner evaluation.  On capped inputs the two
+    evaluation orders round differently, so a verdict can be certified
+    by one and raise PrecisionLoss in the other.
     """
     p = A.p
     violations = []
     candidates = eigenvalue_candidates or []
-    for deg in range(1, degree_bound + 1):
-        for roots in itertools.combinations_with_replacement(candidates, deg):
-            q = PolynomialOverK.from_roots(p, list(roots))
-            verdict = check_norm_identity(A, q)
-            if not verdict.holds:
-                violations.append((q, verdict))
+    I = KMatrix.identity(p, A.rows)
+    factors = [A - I.scale(lam) for lam in candidates]
+    for idx, B in _root_products(factors, degree_bound):
+        verdict = norm_square_verdict(B)
+        if not verdict.holds:
+            q = PolynomialOverK.from_roots(p, [candidates[i] for i in idx])
+            violations.append((q, verdict))
     rng = random.Random(seed)
     for _ in range(n_random):
         deg = rng.randint(1, degree_bound)

@@ -70,6 +70,25 @@ class TestValuation:
                     assert s.valuation() >= x.valuation()
 
 
+class TestPredicates:
+    @pytest.mark.parametrize(
+        "x, zero, exact_zero, certified_nonzero",
+        [
+            (PadicScalar.from_rational(5, 0), True, True, False),
+            (PadicScalar.from_rational(5, Fraction(0, 7)), True, True, False),
+            (PadicScalar.from_rational(5, Fraction(-3, 25)), False, False, True),
+            (PadicScalar.from_rational(5, 1), False, False, True),
+            (PadicScalar.capped(5, -2, 7, 3), False, False, True),
+            (PadicScalar.capped_zero(5, 4), True, False, False),
+            (PadicScalar.capped_zero(5, -1), True, False, False),
+        ],
+    )
+    def test_zero_predicates_by_kind(self, x, zero, exact_zero, certified_nonzero):
+        assert x.is_zero() is zero
+        assert x.is_exact_zero() is exact_zero
+        assert x.is_certified_nonzero() is certified_nonzero
+
+
 class TestCappedArithmetic:
     def test_cancellation_produces_certified_zero_bound(self):
         p = 5
