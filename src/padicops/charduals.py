@@ -130,11 +130,6 @@ class TruncatedGroup:
         return f"TruncatedGroup(l={self.l}, k={self.k}, j={self.j}, p={self.p})"
 
 
-def character_eval(grp: TruncatedGroup, n: int, a: int) -> PadicScalar:
-    """g_n(a) = zeta^(n a); always a unit of norm 1."""
-    return grp.zeta_pow(n * a)
-
-
 def haar_integrate(grp: TruncatedGroup, f) -> PadicScalar:
     """Translation-invariant mean over G with total mass 1."""
     acc = PadicScalar.zero(grp.p)

@@ -33,9 +33,26 @@ DEFAULT_PRECISION = 64
 Valuation = float  # int or math.inf
 
 
+# The only module-level state: p**e by (p, e), and the shared exact zero
+# and exact one of each prime.  The exponents are tracked precisions plus
+# valuation gaps, so the power cache stays small; nothing is keyed by a
+# scalar's value.
+_P_POWERS: dict[tuple[int, int], int] = {}
+_ZEROS: dict[int, PadicScalar] = {}
+_ONES: dict[int, PadicScalar] = {}
+
+
+def _p_power(p: int, e: int) -> int:
+    try:
+        return _P_POWERS[p, e]
+    except KeyError:
+        pe = _P_POWERS[p, e] = p**e
+        return pe
+
+
 def rational_valuation(p: int, x: Fraction) -> Valuation:
     """p-adic valuation of an exact rational (+inf for zero)."""
-    if x == 0:
+    if not x.numerator:
         return INF
     v = 0
     num, den = x.numerator, x.denominator
@@ -90,13 +107,22 @@ class PadicScalar:
     def capped_zero(cls, p: int, bound: int) -> "PadicScalar":
         return cls(p, "zero", bound=bound)
 
+    # Scalars are never mutated after __init__, so one exact zero and one
+    # exact one per prime can be shared by every caller.
+
     @classmethod
     def zero(cls, p: int) -> "PadicScalar":
-        return cls.from_int(p, 0)
+        x = _ZEROS.get(p)
+        if x is None:
+            x = _ZEROS[p] = cls.from_int(p, 0)
+        return x
 
     @classmethod
     def one(cls, p: int) -> "PadicScalar":
-        return cls.from_int(p, 1)
+        x = _ONES.get(p)
+        if x is None:
+            x = _ONES[p] = cls.from_int(p, 1)
+        return x
 
     # ----- predicates ---------------------------------------------------
 
@@ -158,17 +184,36 @@ class PadicScalar:
         pk = p**N
         return int(v), (num * pow(den, -1, pk)) % pk
 
-    def _check_compat(self, other: "PadicScalar"):
-        if self.p != other.p:
-            raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
-
     # ----- arithmetic ---------------------------------------------------
 
+    # The fast branches below return a scalar equal field for field to the
+    # general path's; tests/padic_reference.py keeps that path as the oracle.
+    # They pass the fields positionally (p, kind, frac, v, unit, N, bound):
+    # keyword arguments cost about 0.5 us more per scalar built.
+
     def __add__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_compat(other)
         p = self.p
+        if other.p != p:
+            raise ValueError(f"prime mismatch: {p} vs {other.p}")
         if self.kind == "exact" and other.kind == "exact":
             return PadicScalar(p, "exact", frac=self.frac + other.frac)
+        if self.kind == "unit" and other.kind == "unit":
+            # the general path below, on the two units directly
+            v1, v2 = self.v, other.v
+            a1, a2 = v1 + self.N, v2 + other.N
+            a = a1 if a1 <= a2 else a2
+            if v1 <= v2:
+                vmin, acc = v1, self.unit + other.unit * _p_power(p, v2 - v1)
+            else:
+                vmin, acc = v2, other.unit + self.unit * _p_power(p, v1 - v2)
+            acc %= _p_power(p, a - vmin)
+            if not acc:
+                return PadicScalar(p, "zero", None, None, None, None, a)
+            v = vmin
+            while not acc % p:
+                acc //= p
+                v += 1
+            return PadicScalar(p, "unit", None, v, acc, a - v)
         # At least one capped operand: combine at the joint absolute precision.
         a = min(self._abs_precision(), other._abs_precision())
         terms = []
@@ -203,15 +248,37 @@ class PadicScalar:
         if self.kind == "exact":
             return PadicScalar(self.p, "exact", frac=-self.frac)
         if self.kind == "unit":
-            return PadicScalar.capped(self.p, self.v, -self.unit, self.N)
+            N = self.N
+            return PadicScalar(
+                self.p, "unit", None, self.v, -self.unit % _p_power(self.p, N), N
+            )
         return self
 
     def __sub__(self, other: "PadicScalar") -> "PadicScalar":
         return self + (-other)
 
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check_compat(other)
         p = self.p
+        if other.p != p:
+            raise ValueError(f"prime mismatch: {p} vs {other.p}")
+        if self.kind == "unit" and other.kind == "unit":
+            # a product of units is a unit: no re-check through capped()
+            N = self.N if self.N <= other.N else other.N
+            unit = self.unit * other.unit % _p_power(p, N)
+            return PadicScalar(p, "unit", None, self.v + other.v, unit, N)
+        # exact 1 on either side returns the other operand itself, -1 its negation
+        if self.kind == "exact" and self.frac.denominator == 1:
+            n = self.frac.numerator
+            if n == 1:
+                return other
+            if n == -1:
+                return -other
+        if other.kind == "exact" and other.frac.denominator == 1:
+            n = other.frac.numerator
+            if n == 1:
+                return self
+            if n == -1:
+                return -self
         if self.kind == "exact" and other.kind == "exact":
             return PadicScalar(p, "exact", frac=self.frac * other.frac)
         if self.is_exact_zero() or other.is_exact_zero():
@@ -227,7 +294,7 @@ class PadicScalar:
     def inverse(self) -> "PadicScalar":
         p = self.p
         if self.kind == "exact":
-            if self.frac == 0:
+            if not self.frac.numerator:
                 raise DivisionByZero("inverse of zero")
             return PadicScalar(p, "exact", frac=1 / self.frac)
         if self.kind == "unit":

@@ -71,6 +71,8 @@ class KMatrix:
         return PadicScalar.zero(self.p) if a is None else a
 
     def __add__(self, other: "KMatrix") -> "KMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("dimension mismatch")
         out = []
         for ra, rb in zip(self.data, other.data):
             row = dict(ra)
@@ -283,10 +285,6 @@ class Echelon:
         return basis
 
 
-def dense_to_sparse(vec) -> dict[int, PadicScalar]:
-    return {i: a for i, a in enumerate(vec) if not a.is_zero()}
-
-
 class MatrixAlgebra:
     """Unital subalgebra of n x n matrices, held by a spanning basis."""
 
@@ -316,27 +314,6 @@ class MatrixAlgebra:
         return all(
             self.contains(A @ B) for A in self.basis for B in self.basis
         ) and self.contains(KMatrix.identity(self.p, self.n))
-
-    def coordinates(self, M: KMatrix) -> list[PadicScalar] | None:
-        """Coefficients of M over the basis, or None if outside the span."""
-        ech = Echelon(self.p)
-        vecs = [B.as_vector() for B in self.basis]
-        ncols = self.n * self.n
-        d = len(vecs)
-        # solve sum c_i vecs[i] = M by augmenting coefficient columns
-        for j in range(ncols):
-            row = {i: vecs[i][j] for i in range(d) if not vecs[i][j].is_zero()}
-            target = M.as_vector()[j]
-            if not target.is_zero():
-                row[d] = -target
-            if row:
-                ech.insert(row)
-        sols = ech.nullspace(d + 1)
-        for sol in sols:
-            if sol[d].is_certified_nonzero():
-                inv = sol[d].inverse()
-                return [inv * sol[i] for i in range(d)]
-        return None
 
 
 def algebra_span(generators: list[KMatrix], n: int) -> MatrixAlgebra:
