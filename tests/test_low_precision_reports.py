@@ -18,7 +18,7 @@ import pytest
 from padicops.cli import RunConfig, run_suite
 
 RECORDED = Path(__file__).resolve().parent / "golden_low_precision.json"
-CONFIGS = [(5, 2, 2, 1), (3, 2, 1, 1), (17, 2, 3, 1)]
+CONFIGS = [(5, 2, 2, 1), (5, 2, 2, 2), (3, 2, 1, 1), (17, 2, 3, 1)]
 PRECISIONS = [1, 3, 8]
 SEED = 1
 
