@@ -38,6 +38,7 @@ from .errors import CertificationFailed, ConfigInvalid, PadicopsError
 from .padic import DEFAULT_PRECISION, PadicScalar, parse_scalar, random_exact
 from .randmat import random_projection
 from .reduction import (
+    DEFAULT_ENUM_BUDGET,
     FiniteAlgebra,
     classify_type,
     dedekind_finite_spotcheck,
@@ -67,7 +68,7 @@ class RunConfig:
     seed: int = 0
     degree_bound: int = 5
     n_samples: int = 20
-    budget: int = 200_000
+    budget: int = DEFAULT_ENUM_BUDGET
 
     def __post_init__(self):
         if self.j is None:
@@ -203,12 +204,13 @@ def check_mihara_span(config: RunConfig) -> tuple[str, dict]:
     return ("pass" if ok else "fail"), {"dimension": alg.dimension}
 
 
-def validate_payload(payload) -> None:
-    """Check the shape of the --input payload before any check runs.
+def validate_payload(payload, config: RunConfig) -> None:
+    """Check the --input payload before any check runs.
 
     It must be an object whose "matrix" is a non-empty square list of
-    rows, and whose optional "q_roots" is a list; raises ConfigInvalid
-    otherwise.
+    rows, and whose optional "q_roots" is a list; every matrix entry and
+    every root must parse as a scalar literal at the run's p and
+    precision.  Raises ConfigInvalid otherwise.
     """
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise ConfigInvalid('input must be a JSON object with a "matrix" entry')
@@ -224,8 +226,15 @@ def validate_payload(payload) -> None:
         raise ConfigInvalid(
             f"input matrix is {len(grid)}x{len(grid[0])}, not square"
         )
-    if not isinstance(payload.get("q_roots", []), list):
+    roots = payload.get("q_roots", [])
+    if not isinstance(roots, list):
         raise ConfigInvalid("input q_roots must be a list")
+    for where, literals in (("matrix", sum(grid, [])), ("q_roots", roots)):
+        for literal in literals:
+            try:
+                parse_scalar(config.p, literal, config.precision)
+            except ValueError as exc:
+                raise ConfigInvalid(f"input {where}: {exc}") from exc
 
 
 @_named("mihara.custom_matrix_norm_identity")
@@ -533,7 +542,7 @@ def main(argv=None) -> int:
     parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--suite", choices=SUITES, default="all")
-    parser.add_argument("--budget", type=int, default=200_000)
+    parser.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     parser.add_argument("--out", type=str, default=None, help="report path (default stdout)")
     parser.add_argument("--input", type=str, default=None, help="JSON payload for ad-hoc checks")
     args = parser.parse_args(argv)
@@ -555,7 +564,7 @@ def main(argv=None) -> int:
                     payload = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise ConfigInvalid(f"input is not valid JSON: {exc}") from exc
-            validate_payload(payload)
+            validate_payload(payload, config)
     except ConfigInvalid as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ x, of A applied to delta_y (x) g_n.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,31 +110,28 @@ def nu_basis(grp: TruncatedGroup) -> list[tuple[int, int, list[list[PadicScalar]
     return out
 
 
-def nu_change_of_basis(grp: TruncatedGroup) -> tuple[KMatrix, KMatrix]:
-    """The matrix T whose columns are the nu basis, in nu_basis order, and T^-1.
+def nu_block_change(grp: TruncatedGroup) -> tuple[KMatrix, KMatrix]:
+    """D = F^-1 T and D^-1, where T's columns are the nu basis in nu_basis order.
 
-    By character orthogonality on S and on G,
-    T^-1[(i, n), (x, a)] = zeta^(i x - n a) / (l^j l^k); T T^-1 = I is
-    certified before the pair is returned.
+    Column (i, n) of T is eta_i (x) g_n = sum over y of eta_i(y) times
+    column (n, y) of F, so D[(n, y), (i, n)] = eta_i(y) and D is zero
+    elsewhere.  By character orthogonality on S (i - i' lies in G0),
+    D^-1[(i, n), (n, y)] = zeta^(i y) / l^j; D D^-1 = I is certified
+    before the pair is returned.
     """
-    p = grp.p
-    nu = nu_basis(grp)
-    T = KMatrix(p, [grid_to_vec(grp, g) for _, _, g in nu]).transpose()
-    scale = PadicScalar.from_rational(p, Fraction(1, space_dim(grp)))
-    T_inv = KMatrix(
-        p,
-        [
-            [
-                scale * grp.zeta_pow(i * x - n * a)
-                for x in range(grp.s_size)
-                for a in range(grp.order)
-            ]
-            for i, n, _ in nu
-        ],
-    )
-    if not (T @ T_inv).equals(KMatrix.identity(p, space_dim(grp))):
-        raise CertificationFailed("T T^-1 is not the identity")
-    return T, T_inv
+    p, s, order, n_dim = grp.p, grp.s_size, grp.order, space_dim(grp)
+    scale = PadicScalar.from_rational(p, Fraction(1, s))
+    D_rows: list[dict[int, PadicScalar]] = [{} for _ in range(n_dim)]
+    D_inv_rows: list[dict[int, PadicScalar]] = [{} for _ in range(n_dim)]
+    for c, i in enumerate(grp.g0_indices()):
+        for n in range(order):
+            for y in range(s):
+                D_rows[n * s + y][c * order + n] = grp.zeta_pow(-i * y)
+                D_inv_rows[c * order + n][n * s + y] = scale * grp.zeta_pow(i * y)
+    D, D_inv = (KMatrix.from_rows(p, rows, n_dim) for rows in (D_rows, D_inv_rows))
+    if not (D @ D_inv).equals(KMatrix.identity(p, n_dim)):
+        raise CertificationFailed("D D^-1 is not the identity")
+    return D, D_inv
 
 
 def block_form(grp: TruncatedGroup, op: KMatrix) -> KMatrix:
@@ -177,17 +175,21 @@ def matrix_from_blocks(grp: TruncatedGroup, blocks: list[list[KMatrix]]) -> KMat
     return F @ hat @ F_inv
 
 
-def mult_operator_on_s(grp: TruncatedGroup, phi: list[PadicScalar]) -> KMatrix:
+def _weighted_shift_blocks(
+    grp: TruncatedGroup, blocks: dict, shift: int = 0
+) -> KMatrix:
+    """Block form whose block [m][n] is f -> blocks[m, n] f(. + shift).
+
+    blocks maps (m, n) to a function on S, as the list of its values, so
+    entry (m l^j + x, n l^j + x + shift) is blocks[m, n][x]; absent blocks
+    are zero.  With shift 0 every block is a multiplication operator.
+    """
     s = grp.s_size
-    return KMatrix.from_rows(grp.p, [{x: phi[x]} for x in range(s)], s)
-
-
-def shift_operator_on_s(grp: TruncatedGroup, a0: int) -> KMatrix:
-    """(U_{a0} f)(x) = f(x + a0) on C(S)."""
-    one = PadicScalar.one(grp.p)
-    return KMatrix.from_rows(
-        grp.p, [{grp.act(x, a0): one} for x in range(grp.s_size)], grp.s_size
-    )
+    rows: list[dict[int, PadicScalar]] = [{} for _ in range(grp.order * s)]
+    for (m, n), values in blocks.items():
+        for x in range(s):
+            rows[m * s + x][n * s + grp.act(x, shift)] = values[x]
+    return KMatrix.from_rows(grp.p, rows, grp.order * s)
 
 
 @dataclass
@@ -242,20 +244,18 @@ class StructuredCommutantElement:
 
         Block [m][n] is b[m,n] times multiplication by eta_(m-n), so entry
         (m l^j + x, n l^j + x) is b[m,n] eta_(m-n)(x) and every other entry
-        is zero.
+        is zero.  Only exact-zero coefficients are skipped: a capped zero
+        gives capped-zero entries, as KMatrix stores them.
         """
         grp = self.grp
-        s = grp.s_size
-        rows = []
-        for m in range(grp.order):
-            blocks = []
-            for n in range(grp.order):
-                c = self.coeff(m, n)
-                if grp.in_g0(m - n) and not c.is_zero():
-                    blocks.append((n, c, eta(grp, m - n)))
-            for x in range(s):
-                rows.append({n * s + x: c * e[x] for n, c, e in blocks})
-        return KMatrix.from_rows(grp.p, rows, grp.order * s)
+        return _weighted_shift_blocks(
+            grp,
+            {
+                (m, n): [c * e for e in eta(grp, m - n)]
+                for (m, n), c in sorted(self.b.items())
+                if grp.in_g0(m - n) and not c.is_exact_zero()
+            },
+        )
 
     def to_matrix(self) -> KMatrix:
         """The element in the point basis: F (F^-1 P F) F^-1."""
@@ -315,119 +315,95 @@ def extract_block_coefficients(
     """Coefficient matrix b[m,n] of an element of the U/L commutant.
 
     Takes the point-basis matrix op, or its block form hat = F^-1 op F
-    when the caller already has it.  Certifies that every block is
-    multiplication by b[m,n] eta_(m-n) and that blocks vanish off the
-    G0-cosets, raising CertificationFailed otherwise; returns the
-    l^k x l^k matrix b.
+    when the caller already has it.  b[m,n] is read at the base point,
+    entry (m l^j, n l^j) of hat, on the G0-cosets.  hat is then certified
+    equal to the block form that these coefficients give, so every block
+    is multiplication by b[m,n] eta_(m-n) and blocks vanish off the
+    G0-cosets; otherwise CertificationFailed names the first failing
+    block in row-major order.  Returns the l^k x l^k matrix b.
     """
     if hat is None:
         hat = block_form(grp, op)
-    mults = {i: mult_operator_on_s(grp, eta(grp, i)) for i in grp.g0_indices()}
-    b_rows: list[dict[int, PadicScalar]] = [{} for _ in range(grp.order)]
-    for m, block_row in enumerate(_blocks(grp, hat)):
-        for n, block in enumerate(block_row):
-            mult = mults.get((m - n) % grp.order)
-            if mult is None:
-                if not block.is_zero():
-                    raise CertificationFailed("nonzero block off the G0-cosets")
-                continue
-            b_mn = block.entry(0, 0)  # psi(x0) with x0 = 0
-            if not (block - mult.scale(b_mn)).is_zero():
-                raise CertificationFailed("block is not b * mult(eta)")
-            b_rows[m][n] = b_mn
-    return KMatrix.from_rows(grp.p, b_rows, grp.order)
+    s, order = grp.s_size, grp.order
+    b = {
+        (m, n): hat.data[m * s][n * s]
+        for m in range(order)
+        for n in range(order)
+        if grp.in_g0(m - n) and n * s in hat.data[m * s]
+    }
+    diff = hat - StructuredCommutantElement(grp, b).block_matrix()
+    failing = [
+        (r // s, c // s)
+        for r, row in enumerate(diff.data)
+        for c, a in row.items()
+        if not a.is_zero()
+    ]
+    if failing:
+        m, n = min(failing)
+        if grp.in_g0(m - n):
+            raise CertificationFailed("block is not b * mult(eta)")
+        raise CertificationFailed("nonzero block off the G0-cosets")
+    b_rows = [{n: c for (r, n), c in b.items() if r == m} for m in range(order)]
+    return KMatrix.from_rows(grp.p, b_rows, order)
 
 
 def verify_operator_identities(grp: TruncatedGroup) -> list[CheckResult]:
-    """Exact identities for the five operators and their block forms."""
-    results = []
-    p = grp.p
+    """Exact identities for the five operators and their block forms.
+
+    Each block identity is one matrix equality between a block form
+    F^-1 A F and its closed form.
+    """
+    p, s, order = grp.p, grp.s_size, grp.order
     n_dim = space_dim(grp)
-    I = KMatrix.identity(p, n_dim)
+
+    def blocks_are(A: KMatrix, blocks: dict, shift: int = 0) -> bool:
+        return block_form(grp, A).equals(_weighted_shift_blocks(grp, blocks, shift))
+
     W = build_operator(grp, "W")
-    results.append(CheckResult("W_is_involution", (W @ W).equals(I)))
-
-    eta_basis = {i: eta(grp, i) for i in grp.g0_indices()}
-    conj_ok = True
-    for a0 in range(grp.order):
+    conj_ok = u_ok = v_ok = l_ok = m_ok = True
+    # U(a0): block [n][n] is zeta^(n a0) times the shift f -> f(. + a0);
+    # V(a0): block [n][n] is zeta^(-n a0) I
+    for a0 in range(order):
         U, V = build_operator(grp, "U", a0=a0), build_operator(grp, "V", a0=a0)
-        if not (W @ U @ W).equals(V):
-            conj_ok = False
-    for i, phi in eta_basis.items():
-        L = build_operator(grp, "L", phi=phi)
-        M = build_operator(grp, "M", phi=phi)
-        if not (W @ L @ W).equals(M):
-            conj_ok = False
-    results.append(CheckResult("W_conjugation_swaps_U_V_and_L_M", conj_ok))
-
-    zero_block = KMatrix.zeros(p, grp.s_size)
-    u_ok = v_ok = True
-    for a0 in range(grp.order):
-        blocks_u = matrix_blocks(grp, build_operator(grp, "U", a0=a0))
-        blocks_v = matrix_blocks(grp, build_operator(grp, "V", a0=a0))
-        shift = shift_operator_on_s(grp, a0)
-        for m in range(grp.order):
-            for n in range(grp.order):
-                expect_u = (
-                    shift.scale(grp.zeta_pow(n * a0)) if m == n else zero_block
-                )
-                expect_v = (
-                    KMatrix.identity(p, grp.s_size).scale(grp.zeta_pow(-n * a0))
-                    if m == n
-                    else zero_block
-                )
-                if not blocks_u[m][n].equals(expect_u):
-                    u_ok = False
-                if not blocks_v[m][n].equals(expect_v):
-                    v_ok = False
-    results.append(CheckResult("U_blocks_are_twisted_shifts", u_ok))
-    results.append(CheckResult("V_blocks_are_diagonal_characters", v_ok))
-
+        conj_ok &= (W @ U @ W).equals(V)
+        twisted = {(n, n): [grp.zeta_pow(n * a0)] * s for n in range(order)}
+        u_ok &= blocks_are(U, twisted, a0)
+        characters = {(n, n): [grp.zeta_pow(-n * a0)] * s for n in range(order)}
+        v_ok &= blocks_are(V, characters)
     # L blocks are diagonal multiplications; M_eta blocks sit on one coset line
-    l_ok = m_ok = True
-    for i, phi in eta_basis.items():
-        blocks_l = matrix_blocks(grp, build_operator(grp, "L", phi=phi))
-        blocks_m = matrix_blocks(grp, build_operator(grp, "M", phi=phi))
-        mult = mult_operator_on_s(grp, phi)
-        for m in range(grp.order):
-            for n in range(grp.order):
-                expect_l = mult if m == n else zero_block
-                expect_m = mult if (m - n) % grp.order == i else zero_block
-                if not blocks_l[m][n].equals(expect_l):
-                    l_ok = False
-                if not blocks_m[m][n].equals(expect_m):
-                    m_ok = False
-    results.append(CheckResult("L_blocks_are_diagonal_multiplications", l_ok))
-    results.append(CheckResult("M_eta_blocks_sit_on_single_coset_line", m_ok))
+    for i in grp.g0_indices():
+        phi = eta(grp, i)
+        L, M = build_operator(grp, "L", phi=phi), build_operator(grp, "M", phi=phi)
+        conj_ok &= (W @ L @ W).equals(M)
+        l_ok &= blocks_are(L, {(n, n): phi for n in range(order)})
+        m_ok &= blocks_are(M, {((n + i) % order, n): phi for n in range(order)})
+    results = [
+        CheckResult("W_is_involution", (W @ W).equals(KMatrix.identity(p, n_dim))),
+        CheckResult("W_conjugation_swaps_U_V_and_L_M", conj_ok),
+        CheckResult("U_blocks_are_twisted_shifts", u_ok),
+        CheckResult("V_blocks_are_diagonal_characters", v_ok),
+        CheckResult("L_blocks_are_diagonal_multiplications", l_ok),
+        CheckResult("M_eta_blocks_sit_on_single_coset_line", m_ok),
+    ]
 
     # general M_psi: blocks multiply by c_(m-n) with c_i = c_i(0) eta_i
-    import random
-
     rng = random.Random(13)
-    psi = [
-        PadicScalar.from_int(p, rng.randint(-3 * p, 3 * p)) for _ in range(grp.s_size)
-    ]
-    blocks_m = matrix_blocks(grp, build_operator(grp, "M", phi=psi))
+    psi = [PadicScalar.from_int(p, rng.randint(-3 * p, 3 * p)) for _ in range(s)]
     # c_m(x): Fourier coefficients of a -> psi(x - a)
-    grid = [
-        [psi[grp.act(x, -a)] for a in range(grp.order)] for x in range(grp.s_size)
-    ]
+    grid = [[psi[grp.act(x, -a)] for a in range(order)] for x in range(s)]
     c = fourier_analyze(grp, grid)
-    general_ok = True
-    for m in range(grp.order):
-        for n in range(grp.order):
-            t = (m - n) % grp.order
-            expect = mult_operator_on_s(grp, c[t])
-            if not blocks_m[m][n].equals(expect):
+    translated = {
+        (m, n): c[(m - n) % order] for m in range(order) for n in range(order)
+    }
+    general_ok = blocks_are(build_operator(grp, "M", phi=psi), translated)
+    for t in range(order):
+        if grp.in_g0(t):
+            # covariance structure: c_t(x) = c_t(0) eta_t(x)
+            scaled = [c[t][0] * e for e in eta(grp, t)]
+            if not all((c[t][x] - scaled[x]).is_zero() for x in range(s)):
                 general_ok = False
-            if grp.in_g0(t):
-                # covariance structure: c_t(x) = c_t(0) eta_t(x)
-                scaled = [c[t][0] * e for e in eta(grp, t)]
-                if not all((c[t][x] - scaled[x]).is_zero() for x in range(grp.s_size)):
-                    general_ok = False
-            else:
-                if not all(value.is_zero() for value in c[t]):
-                    general_ok = False
+        elif not all(value.is_zero() for value in c[t]):
+            general_ok = False
     results.append(CheckResult("M_psi_blocks_match_translated_coefficients", general_ok))
 
     nu = nu_basis(grp)
@@ -510,23 +486,18 @@ def verify_commutation_theorem(grp: TruncatedGroup) -> list[CheckResult]:
             )
         )
     else:
+        # F^-1 C F must be diag(lambda_m I) with lambda constant on G0
         pattern_ok = True
         g0 = grp.g0_indices()
+        s = grp.s_size
         for C in Z.basis:
-            blocks = matrix_blocks(grp, C)
-            lam = []
-            for m in range(grp.order):
-                for n in range(grp.order):
-                    if m == n:
-                        diag = blocks[m][n]
-                        lam_m = diag.entry(0, 0)
-                        if not diag.equals(
-                            KMatrix.identity(grp.p, grp.s_size).scale(lam_m)
-                        ):
-                            pattern_ok = False
-                        lam.append(lam_m)
-                    elif not blocks[m][n].is_zero():
-                        pattern_ok = False
+            hat = block_form(grp, C)
+            lam = [hat.entry(m * s, m * s) for m in range(grp.order)]
+            scalars = _weighted_shift_blocks(
+                grp, {(m, m): [lam[m]] * s for m in range(grp.order)}
+            )
+            if not hat.equals(scalars):
+                pattern_ok = False
             base = lam[g0[0]]
             if not all((lam[i] - base).is_zero() for i in g0):
                 pattern_ok = False

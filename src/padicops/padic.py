@@ -431,11 +431,19 @@ def teichmuller_root(p: int, m: int, N: int = DEFAULT_PRECISION) -> PadicScalar:
 
 
 def parse_scalar(p: int, literal, N: int = DEFAULT_PRECISION) -> PadicScalar:
-    """Scalar literal from an input file: "a/b" / int (exact) or {"v","unit","N"}."""
+    """Scalar literal from an input file: "a/b" / int (exact) or {"v","unit","N"}.
+
+    Raises ValueError for any literal that does not parse.
+    """
     if isinstance(literal, dict):
-        return PadicScalar.capped(p, literal["v"], literal["unit"], literal.get("N", N))
-    if isinstance(literal, str):
-        return PadicScalar.from_rational(p, Fraction(literal))
-    if isinstance(literal, int):
+        fields = (literal.get("v"), literal.get("unit"), literal.get("N", N))
+        if all(isinstance(x, int) for x in fields):
+            return PadicScalar.capped(p, *fields)
+    elif isinstance(literal, str):
+        try:
+            return PadicScalar.from_rational(p, Fraction(literal))
+        except ZeroDivisionError:
+            pass
+    elif isinstance(literal, int):
         return PadicScalar.from_int(p, literal)
     raise ValueError(f"cannot parse scalar literal {literal!r}")

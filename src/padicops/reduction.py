@@ -23,8 +23,7 @@ from .crossed import (
     block_form,
     build_algebras,
     extract_block_coefficients,
-    nu_basis,
-    nu_change_of_basis,
+    nu_block_change,
 )
 from .errors import (
     BudgetExceeded,
@@ -100,12 +99,16 @@ class FiniteAlgebra:
         return np.eye(self.n, dtype=np.int64)
 
     def is_closed(self) -> bool:
-        ok = all(
-            self.contains(self.mul(A, B)) for A in self.basis for B in self.basis
-        )
+        """Every product of basis elements, and I when unital, lies in the span.
+
+        One rank comparison: stacking them under ``stack`` leaves its rank
+        unchanged.
+        """
+        basis = self.stack.reshape(-1, self.n, self.n)
+        rows = [self.stack, (basis[:, None] @ basis[None]).reshape(-1, self.n**2)]
         if self.unital:
-            ok = ok and self.contains(self.identity_element())
-        return ok
+            rows.append(self.identity_element().reshape(1, -1))
+        return fpalg.rank(np.vstack(rows), self.p) == fpalg.rank(self.stack, self.p)
 
     def iter_elements(self):
         """All p^dim elements, first coordinate fastest; caller must keep dim small."""
@@ -631,27 +634,25 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
                 mult_ok = False
     results.append(CheckResult("coefficient_map_is_multiplicative", mult_ok))
 
-    # matrix elements in the nu basis follow the shifted-coset pattern
-    # T^-1 A T = (T^-1 F) hat (F^-1 T), and F^-1 T is sparse
-    T, T_inv = nu_change_of_basis(grp)
-    F, F_inv = grp.partial_fourier
-    nu_from_block, block_from_nu = T_inv @ F, F_inv @ T
-    nu_index = [(i, n) for i, n, _ in nu_basis(grp)]
+    # matrix elements in the nu basis follow the shifted-coset pattern:
+    # T^-1 A T = D^-1 hat D, and entry ((l, m), (i, j)) is b[m, j] when
+    # l = m + i - j and zero otherwise
+    D, D_inv = nu_block_change(grp)
+    nu_index = [(i, n) for i in grp.g0_indices() for n in range(grp.order)]
     pattern_ok = True
-    reduced_coeffs = []
     for hat, b in zip(hats, coeffs):
-        C = nu_from_block @ hat @ block_from_nu
-        for col, (i, j) in enumerate(nu_index):
-            for row, (l_idx, m) in enumerate(nu_index):
-                expected = (
-                    b.entry(m, j)
-                    if (l_idx - (m + i - j)) % grp.order == 0
-                    else PadicScalar.zero(p)
-                )
-                if not (C.entry(row, col) - expected).is_zero():
-                    pattern_ok = False
-        reduced_coeffs.append(reduce_matrix(b))
+        expected = [
+            {
+                col: b.entry(m, j)
+                for col, (i, j) in enumerate(nu_index)
+                if (l_idx - (m + i - j)) % grp.order == 0
+            }
+            for l_idx, m in nu_index
+        ]
+        if not (D_inv @ hat @ D).equals(KMatrix.from_rows(p, expected, len(nu_index))):
+            pattern_ok = False
     results.append(CheckResult("nu_matrix_elements_follow_coset_pattern", pattern_ok))
+    reduced_coeffs = [reduce_matrix(b) for b in coeffs]
 
     coeff_alg = FiniteAlgebra(p, grp.order, reduced_coeffs, unital=True)
     results.append(

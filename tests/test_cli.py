@@ -106,6 +106,7 @@ class TestRunSuite:
             ("exact-small", (3, 2, 1, 1), "fourier"),
             ("exact-small", (3, 2, 1, 1), "baer"),
             ("reduce-16", (5, 2, 2, 2), "reduce"),
+            ("reduce-16", (17, 2, 3, 1), "reduce"),
         ],
     )
     def test_reports_match_golden_bytes(self, workload, config, suite, seed):
@@ -209,6 +210,15 @@ MALFORMED_INPUTS = {
     "payload_not_an_object": [[1, 2], [3, 4]],
     "no_matrix": {"q_roots": [1, 5]},
     "roots_not_a_list": {"matrix": [[1]], "q_roots": 5},
+    "entry_not_a_number": {"matrix": [["abc"]]},
+    "entry_zero_denominator": {"matrix": [["1/0"]]},
+    "entry_float": {"matrix": [[1.5]]},
+    "capped_unit_divisible_by_p": {"matrix": [[{"v": 0, "unit": 5}]]},
+    "capped_without_valuation": {"matrix": [[{"unit": 3}]]},
+    "capped_valuation_not_an_integer": {
+        "matrix": [[1]],
+        "q_roots": [{"v": "x", "unit": 3}],
+    },
 }
 
 

@@ -18,12 +18,12 @@ from padicops.crossed import (
     build_operator,
     eta,
     extract_block_coefficients,
+    grid_to_vec,
     idempotent_check,
     matrix_blocks,
     matrix_from_blocks,
-    mult_operator_on_s,
     nu_basis,
-    nu_change_of_basis,
+    nu_block_change,
     point_index,
     space_dim,
     verify_commutation_theorem,
@@ -52,6 +52,12 @@ FREE = TruncatedGroup(2, 2, 2, 5)
 NONFREE = TruncatedGroup(2, 2, 1, 5)
 
 
+def mult_on_s(grp, phi):
+    """Multiplication by the function phi on C(S)."""
+    s = grp.s_size
+    return KMatrix.from_rows(grp.p, [{x: phi[x]} for x in range(s)], s)
+
+
 class TestOperatorIdentities:
     @pytest.mark.parametrize("grp", [FREE, NONFREE], ids=["free", "nonfree"])
     def test_all_identities(self, grp):
@@ -59,8 +65,6 @@ class TestOperatorIdentities:
         assert all_passed(results), [r.name for r in results if not r.passed]
 
     def test_nu_basis_orthonormal(self):
-        from padicops.crossed import grid_to_vec
-
         for grp in (FREE, NONFREE):
             vectors = [grid_to_vec(grp, g) for (_, _, g) in nu_basis(grp)]
             assert is_orthonormal(vectors)
@@ -73,7 +77,7 @@ class TestOperatorIdentities:
         # finite analogue of the multiplication-algebra bicommutant
         for grp in (FREE, NONFREE):
             gens = [
-                mult_operator_on_s(grp, eta(grp, i)) for i in grp.g0_indices()
+                mult_on_s(grp, eta(grp, i)) for i in grp.g0_indices()
             ]
             comm = commutant(gens, grp.s_size)
             assert comm.dimension == grp.s_size
@@ -196,7 +200,7 @@ class TestStructuredIdempotents:
                 for n in range(grp.order):
                     c = elem.coeff(m, n)
                     if grp.in_g0(m - n):
-                        want = mult_operator_on_s(grp, eta(grp, m - n)).scale(c)
+                        want = mult_on_s(grp, eta(grp, m - n)).scale(c)
                     else:
                         want = KMatrix.zeros(grp.p, grp.s_size)
                     assert blocks[m][n].equals(want), (m, n)
@@ -304,8 +308,11 @@ class TestBlockChangeOfBasis:
         F, F_inv = grp.partial_fourier
         assert (F_inv @ F).equals(I)
         assert (F @ F_inv).equals(I)
-        T, T_inv = nu_change_of_basis(grp)
-        assert (T_inv @ T).equals(I)
+        D, D_inv = nu_block_change(grp)
+        # T: the nu basis as columns, in nu_basis order; D = F^-1 T
+        T = KMatrix(p, [grid_to_vec(grp, g) for _, _, g in nu_basis(grp)]).transpose()
+        assert (F @ D).equals(T)
+        assert (D_inv @ D).equals(I)
 
 
 @pytest.mark.parametrize(
@@ -391,6 +398,43 @@ def test_partial_fourier_is_built_once_and_lazily():
 def test_block_coefficients_of_flip_not_certified():
     with pytest.raises(CertificationFailed):
         extract_block_coefficients(NONFREE, build_operator(NONFREE, "W"))
+    # block forms on NONFREE: 4 x 4 blocks of size 2, G0 = {0, 2}
+    p, one, n = NONFREE.p, PadicScalar.one(NONFREE.p), space_dim(NONFREE)
+    rows = [{} for _ in range(n)]
+    rows[0][2] = one  # entry (0, 0) of block [0][1], off the G0-cosets
+    with pytest.raises(CertificationFailed, match="nonzero block off the G0-cosets"):
+        extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
+    rows[4][5] = one  # block [2][2] fails too; the first failing block is named
+    with pytest.raises(CertificationFailed, match="nonzero block off the G0-cosets"):
+        extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
+    rows = [{} for _ in range(n)]
+    # block [0][0] is diag(1, 2), not b[0,0] times eta_0 = 1
+    rows[0][0], rows[1][1] = one, PadicScalar.from_int(p, 2)
+    with pytest.raises(CertificationFailed, match=r"block is not b \* mult\(eta\)"):
+        extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
+    rows[2][0] = one  # block [1][0], off the G0-cosets, comes after block [0][0]
+    with pytest.raises(CertificationFailed, match=r"block is not b \* mult\(eta\)"):
+        extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
+    # b * mult(eta) on the coset block [2][0] alone is certified
+    b = {(2, 0): PadicScalar.from_int(p, 3)}
+    hat = StructuredCommutantElement(NONFREE, b).block_matrix()
+    got = extract_block_coefficients(NONFREE, hat=hat)
+    assert got.equals(KMatrix.from_rows(p, [{}, {}, {0: b[2, 0]}, {}], NONFREE.order))
+
+
+def test_capped_zero_coefficient_enters_the_comparison():
+    """A coefficient that is zero only to precision is compared as stored.
+
+    Block [0][0] holds a zero known mod p at the base point and p^2 at
+    x = 1; b[0,0] eta_0(1) is that same capped zero, so the difference at
+    x = 1 is zero to precision and the block is certified.
+    """
+    p, n = NONFREE.p, space_dim(NONFREE)
+    rows = [{} for _ in range(n)]
+    rows[0][0] = PadicScalar.capped_zero(p, 1)
+    rows[1][1] = PadicScalar.from_int(p, p**2)
+    b = extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
+    assert b.data == [{0: rows[0][0]}, {}, {}, {}]
 
 
 def test_block_coefficients_certified_under_optimize_flag():

@@ -171,6 +171,20 @@ class TestFiniteAlgebra:
         assert len(got) == 9
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_closure_is_decided_by_basis_products(self, p):
+        def unit(i, j):
+            E = np.zeros((2, 2), dtype=np.int64)
+            E[i, j] = 1
+            return E
+
+        assert full_matrix_algebra_fp(p, 2).is_closed()
+        # E12 E21 = E11 is not in span{I, E12, E21}
+        assert not FiniteAlgebra(p, 2, [np.eye(2), unit(0, 1), unit(1, 0)]).is_closed()
+        # span{E11} is closed under products but does not contain I
+        assert FiniteAlgebra(p, 2, [unit(0, 0)], unital=False).is_closed()
+        assert not FiniteAlgebra(p, 2, [unit(0, 0)], unital=True).is_closed()
+
     def test_linear_map_columns_are_images_of_the_basis(self):
         rng = random.Random(53)
         alg = full_matrix_algebra_fp(5, 2)
