@@ -229,7 +229,8 @@ def validate_payload(payload, config: RunConfig) -> None:
     roots = payload.get("q_roots", [])
     if not isinstance(roots, list):
         raise ConfigInvalid("input q_roots must be a list")
-    for where, literals in (("matrix", sum(grid, [])), ("q_roots", roots)):
+    entries = [x for row in grid for x in row]
+    for where, literals in (("matrix", entries), ("q_roots", roots)):
         for literal in literals:
             try:
                 parse_scalar(config.p, literal, config.precision)

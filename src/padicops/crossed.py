@@ -176,13 +176,16 @@ def matrix_from_blocks(grp: TruncatedGroup, blocks: list[list[KMatrix]]) -> KMat
 
 
 def _weighted_shift_blocks(
-    grp: TruncatedGroup, blocks: dict, shift: int = 0
+    grp: TruncatedGroup,
+    blocks: dict[tuple[int, int], list[PadicScalar]],
+    shift: int = 0,
 ) -> KMatrix:
     """Block form whose block [m][n] is f -> blocks[m, n] f(. + shift).
 
     blocks maps (m, n) to a function on S, as the list of its values, so
-    entry (m l^j + x, n l^j + x + shift) is blocks[m, n][x]; absent blocks
-    are zero.  With shift 0 every block is a multiplication operator.
+    entry (m l^j + x, n l^j + (x + shift mod l^j)) is blocks[m, n][x];
+    absent blocks are zero.  With shift 0 every block is a multiplication
+    operator.
     """
     s = grp.s_size
     rows: list[dict[int, PadicScalar]] = [{} for _ in range(grp.order * s)]
