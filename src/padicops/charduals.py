@@ -126,6 +126,28 @@ class TruncatedGroup:
             raise CertificationFailed("F F^-1 is not the identity")
         return F, F_inv
 
+    @cached_property
+    def g0_characters_multiply(self) -> bool:
+        """eta_a eta_b = eta_(a+b) pointwise on S for all a, b in G0.
+
+        eta_i(x) = zeta^(-i x) is the character of S = Z/l^j that an index
+        i in G0 gives (``crossed.eta``).  A block form whose block [m][n]
+        is b[m,n] times multiplication by eta_(m-n), with b supported on
+        the G0-cosets, then multiplies as its coefficient matrix does:
+        block(b) block(c) = block(b c), as eta_(m-n) eta_(n-q) = eta_(m-q).
+        Checked once, |G0|^2 l^j scalar products, when first used.
+        """
+        g0, s = self.g0_indices(), self.s_size
+        return all(
+            (
+                self.zeta_pow(-a * x) * self.zeta_pow(-b * x)
+                - self.zeta_pow(-(a + b) * x)
+            ).is_zero()
+            for a in g0
+            for b in g0
+            for x in range(s)
+        )
+
     def __repr__(self):
         return f"TruncatedGroup(l={self.l}, k={self.k}, j={self.j}, p={self.p})"
 

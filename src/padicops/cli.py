@@ -41,7 +41,7 @@ from .reduction import (
     DEFAULT_ENUM_BUDGET,
     FiniteAlgebra,
     classify_type,
-    dedekind_finite_spotcheck,
+    dedekind_finite,
     is_baer,
     verify_crossed_reduction,
 )
@@ -204,13 +204,21 @@ def check_mihara_span(config: RunConfig) -> tuple[str, dict]:
     return ("pass" if ok else "fail"), {"dimension": alg.dimension}
 
 
+# a capped --input literal may track at most this many times --precision
+# digits: the cost of capped arithmetic grows about as N^2, so one literal
+# with a huge N could stall a run
+INPUT_PRECISION_FACTOR = 16
+
+
 def validate_payload(payload, config: RunConfig) -> None:
     """Check the --input payload before any check runs.
 
     It must be an object whose "matrix" is a non-empty square list of
     rows, and whose optional "q_roots" is a list; every matrix entry and
     every root must parse as a scalar literal at the run's p and
-    precision.  Raises ConfigInvalid otherwise.
+    precision, and a capped literal's N may not exceed
+    INPUT_PRECISION_FACTOR times the precision (tested before the scalar
+    is built).  Raises ConfigInvalid otherwise.
     """
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise ConfigInvalid('input must be a JSON object with a "matrix" entry')
@@ -230,8 +238,15 @@ def validate_payload(payload, config: RunConfig) -> None:
     if not isinstance(roots, list):
         raise ConfigInvalid("input q_roots must be a list")
     entries = [x for row in grid for x in row]
+    max_n = INPUT_PRECISION_FACTOR * config.precision
     for where, literals in (("matrix", entries), ("q_roots", roots)):
         for literal in literals:
+            n = literal.get("N") if isinstance(literal, dict) else None
+            if isinstance(n, int) and n > max_n:
+                raise ConfigInvalid(
+                    f"input {where}: capped literal precision N = {n} exceeds "
+                    f"{max_n} ({INPUT_PRECISION_FACTOR} x --precision)"
+                )
             try:
                 parse_scalar(config.p, literal, config.precision)
             except ValueError as exc:
@@ -471,7 +486,7 @@ def check_full_matrix_baer(config: RunConfig) -> tuple[str, dict]:
     return ("pass" if ok else "fail"), {
         "mode": report.search_mode,
         "type": typed.type_verdict,
-        "dedekind_finite": dedekind_finite_spotcheck(alg, 50, config.seed),
+        "dedekind_finite": dedekind_finite(alg),
     }
 
 

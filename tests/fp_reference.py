@@ -3,8 +3,11 @@
 These are the one-matrix-at-a-time versions that ``fpalg`` and
 ``reduction`` replaced by stacked elimination: a per-pivot rref, and the
 Baer search that computes one annihilator per element and one rref per
-intersection.
+intersection.  The Dedekind-finiteness spot check that
+``reduction.dedekind_finite`` replaced by the theorem is kept here too.
 """
+
+import random
 
 import numpy as np
 
@@ -106,3 +109,28 @@ def reference_close(alg: FiniteAlgebra, seen: dict) -> None:
                     new.append(len(subspaces))
                     subspaces.append(inter)
         frontier = new
+
+
+def dedekind_finite_spotcheck(alg: FiniteAlgebra, trials: int = 200, seed: int = 0) -> bool:
+    """xy = 1 implies yx = 1 on random invertible x (regular representation)."""
+    rng = random.Random(seed)
+    one = alg.identity_element()
+    if not alg.contains(one):
+        raise ValueError("algebra is not unital")
+    if not alg.is_closed():
+        raise ValueError("algebra not closed under multiplication")
+    d = alg.dimension
+    checked = 0
+    attempts = 0
+    while checked < trials and attempts < 20 * trials:
+        attempts += 1
+        x = alg.element([rng.randrange(alg.p) for _ in range(d)])
+        # y = sum c_i B_i with y x = 1
+        sol = fpalg.solve(alg.linear_map(lambda X: X @ x), one.reshape(-1), alg.p)
+        if sol is None:
+            continue
+        y = alg.element(sol)
+        if not np.array_equal(alg.mul(x, y), one):
+            return False
+        checked += 1
+    return True

@@ -71,6 +71,21 @@ class TestCharacters:
                     rhs = grp.zeta_pow(n * a) * grp.zeta_pow(n * b)
                     assert (lhs - rhs).is_zero()
 
+    @pytest.mark.parametrize(
+        "l,k,j,p", [(2, 1, 1, 3), (2, 2, 1, 5), (2, 2, 2, 5), (2, 3, 1, 17), (3, 1, 1, 7)]
+    )
+    def test_g0_characters_multiply_once_and_lazily(self, l, k, j, p):
+        grp = TruncatedGroup(l, k, j, p)
+        assert "g0_characters_multiply" not in vars(grp)
+        assert grp.g0_characters_multiply is True
+        assert "g0_characters_multiply" in vars(grp)
+
+    def test_g0_character_identity_fails_on_a_wrong_power(self):
+        grp = TruncatedGroup(2, 2, 2, 5)
+        # zeta^3 (1 + p): eta_1(1) eta_2(1) = zeta^-1 zeta^-2 is no longer zeta^-3
+        grp._powers[3] = grp._powers[3] * PadicScalar.from_int(5, 6)
+        assert grp.g0_characters_multiply is False
+
     def test_haar_translation_invariance_exhaustive(self):
         grp = TruncatedGroup(2, 2, 2, 5)
         rng = random.Random(31)

@@ -233,6 +233,40 @@ def test_malformed_input_is_a_configuration_error(name, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("where", ["matrix", "q_roots"])
+def test_input_precision_is_bounded(where, tmp_path, capsys, monkeypatch):
+    """N up to 16 x --precision is accepted; above it, the run exits 2.
+
+    The bound is tested before the literal is parsed, so a huge N never
+    builds a scalar: parse_scalar refuses every literal above the bound.
+    """
+    parse = cli.parse_scalar
+
+    def bounded_parse(p, literal, N):
+        assert not (isinstance(literal, dict) and literal.get("N", N) > 64)
+        return parse(p, literal, N)
+
+    monkeypatch.setattr(cli, "parse_scalar", bounded_parse)
+    path = tmp_path / "input.json"
+    for n, code in ((64, 0), (65, 2), (10**12, 2)):
+        literal = {"v": 0, "unit": 2, "N": n}
+        payload = {"matrix": [[literal]]} if where == "matrix" else {
+            "matrix": [[1]],
+            "q_roots": [literal],
+        }
+        path.write_text(json.dumps(payload))
+        args = ["--p", "5", "--precision", "4", "--suite", "mihara", "--input", str(path)]
+        got = main(args)
+        captured = capsys.readouterr()
+        if code == 2:
+            assert got == 2
+            assert captured.err.startswith(f"invalid configuration: input {where}")
+            assert f"N = {n} exceeds 64" in captured.err
+            assert captured.out == ""
+        else:
+            assert got != 2 and captured.out
+
+
 def test_input_that_is_not_json_is_a_configuration_error(tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text("[[1, 2], [3")

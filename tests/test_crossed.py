@@ -31,6 +31,7 @@ from padicops.crossed import (
 )
 from padicops.errors import CertificationFailed, IndexNotInG0
 from padicops.padic import PadicScalar
+from padicops.reduction import reduce_algebra
 from padicops.report import all_passed
 from padicops.spectral import is_orthoprojection
 from padicops.ultralinalg import (
@@ -387,6 +388,8 @@ def test_double_commutants_computed_directly_when_an_equality_fails(monkeypatch)
     assert not results["commutant_of_UL_equals_VM_span"]
     assert len(calls) == 4
     assert not results["double_commutants_stable"]
+    # IC itself is the true commutant: every element of its basis is extracted
+    assert results["commutant_elements_have_coset_block_form"]
 
 
 def test_partial_fourier_is_built_once_and_lazily():
@@ -400,41 +403,150 @@ def test_block_coefficients_of_flip_not_certified():
         extract_block_coefficients(NONFREE, build_operator(NONFREE, "W"))
     # block forms on NONFREE: 4 x 4 blocks of size 2, G0 = {0, 2}
     p, one, n = NONFREE.p, PadicScalar.one(NONFREE.p), space_dim(NONFREE)
-    rows = [{} for _ in range(n)]
-    rows[0][2] = one  # entry (0, 0) of block [0][1], off the G0-cosets
-    with pytest.raises(CertificationFailed, match="nonzero block off the G0-cosets"):
-        extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
-    rows[4][5] = one  # block [2][2] fails too; the first failing block is named
-    with pytest.raises(CertificationFailed, match="nonzero block off the G0-cosets"):
-        extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
-    rows = [{} for _ in range(n)]
-    # block [0][0] is diag(1, 2), not b[0,0] times eta_0 = 1
-    rows[0][0], rows[1][1] = one, PadicScalar.from_int(p, 2)
-    with pytest.raises(CertificationFailed, match=r"block is not b \* mult\(eta\)"):
-        extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
-    rows[2][0] = one  # block [1][0], off the G0-cosets, comes after block [0][0]
-    with pytest.raises(CertificationFailed, match=r"block is not b \* mult\(eta\)"):
-        extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
-    # b * mult(eta) on the coset block [2][0] alone is certified
-    b = {(2, 0): PadicScalar.from_int(p, 3)}
-    hat = StructuredCommutantElement(NONFREE, b).block_matrix()
-    got = extract_block_coefficients(NONFREE, hat=hat)
-    assert got.equals(KMatrix.from_rows(p, [{}, {}, {0: b[2, 0]}, {}], NONFREE.order))
+    F, F_inv = NONFREE.partial_fourier
+    I = KMatrix.identity(p, n)
+
+    def extract(rows, plus_identity):
+        # F hat F^-1 + I stores an entry in every row, so extraction tries
+        # the intertwining first and names the block after it fails
+        op = F @ KMatrix.from_rows(p, rows, n) @ F_inv
+        return extract_block_coefficients(NONFREE, op + I if plus_identity else op)
+
+    for plus_identity in (False, True):
+        rows = [{} for _ in range(n)]
+        rows[0][2] = one  # entry (0, 0) of block [0][1], off the G0-cosets
+        with pytest.raises(CertificationFailed, match="nonzero block off the G0-cosets"):
+            extract(rows, plus_identity)
+        rows[4][5] = one  # block [2][2] fails too; the first failing block is named
+        with pytest.raises(CertificationFailed, match="nonzero block off the G0-cosets"):
+            extract(rows, plus_identity)
+        rows = [{} for _ in range(n)]
+        # block [0][0] is diag(1, 2), not b[0,0] times eta_0 = 1
+        rows[0][0], rows[1][1] = one, PadicScalar.from_int(p, 2)
+        with pytest.raises(CertificationFailed, match=r"block is not b \* mult\(eta\)"):
+            extract(rows, plus_identity)
+        rows[2][0] = one  # block [1][0], off the G0-cosets, comes after block [0][0]
+        with pytest.raises(CertificationFailed, match=r"block is not b \* mult\(eta\)"):
+            extract(rows, plus_identity)
+        # b * mult(eta) on the coset block [2][0] alone is certified
+        b = {(2, 0): PadicScalar.from_int(p, 3)}
+        got = extract(StructuredCommutantElement(NONFREE, b).block_matrix().data, plus_identity)
+        want = [{m: one} if plus_identity else {} for m in range(NONFREE.order)]
+        want[2][0] = b[2, 0]
+        assert got.equals(KMatrix.from_rows(p, want, NONFREE.order))
 
 
 def test_capped_zero_coefficient_enters_the_comparison():
     """A coefficient that is zero only to precision is compared as stored.
 
-    Block [0][0] holds a zero known mod p at the base point and p^2 at
-    x = 1; b[0,0] eta_0(1) is that same capped zero, so the difference at
-    x = 1 is zero to precision and the block is certified.
+    block_matrix keeps b[0,0], a zero known mod p, as capped-zero entries
+    of block [0][0] at x = 0 and x = 1.  A block [0][0] holding that zero
+    at x = 0 and p^2 at x = 1 is then equal to it to precision; it would
+    not be if the capped zeros were skipped.
     """
     p, n = NONFREE.p, space_dim(NONFREE)
+    zero = PadicScalar.capped_zero(p, 1)
+    B = StructuredCommutantElement(NONFREE, {(0, 0): zero}).block_matrix()
+    assert [sorted(row) for row in B.data[:2]] == [[0], [1]]
     rows = [{} for _ in range(n)]
-    rows[0][0] = PadicScalar.capped_zero(p, 1)
-    rows[1][1] = PadicScalar.from_int(p, p**2)
-    b = extract_block_coefficients(NONFREE, hat=KMatrix.from_rows(p, rows, n))
-    assert b.data == [{0: rows[0][0]}, {}, {}, {}]
+    rows[0][0], rows[1][1] = zero, PadicScalar.from_int(p, p**2)
+    assert KMatrix.from_rows(p, rows, n).equals(B)
+
+
+def reference_coefficients(grp, hat):
+    """b[m,n] of a block form, certified block by block, or None.
+
+    Block [m][n] must be b[m,n] times multiplication by eta_(m-n) on the
+    G0-cosets, with b[m,n] its entry at the base point, and zero off
+    them.  This is the per-block check that ``extract_block_coefficients``
+    replaced by one equality.
+    """
+    blocks = crossed._blocks(grp, hat)
+    b_rows = [{} for _ in range(grp.order)]
+    for m in range(grp.order):
+        for n in range(grp.order):
+            block = blocks[m][n]
+            if not grp.in_g0(m - n):
+                if not block.is_zero():
+                    return None
+                continue
+            c = block.entry(0, 0)
+            if not block.equals(mult_on_s(grp, eta(grp, m - n)).scale(c)):
+                return None
+            b_rows[m][n] = c
+    return KMatrix.from_rows(grp.p, b_rows, grp.order)
+
+
+# the two reduce-16 configurations and the 32-point crossed-32 one
+ORACLE_CONFIGS = [(5, 2, 2, 2), (17, 2, 3, 1), (17, 2, 3, 2)]
+
+
+@pytest.mark.parametrize(
+    "config", ORACLE_CONFIGS, ids=[",".join(map(str, c)) for c in ORACLE_CONFIGS]
+)
+def test_coset_block_form_of_generators_matches_every_commutant_element(config):
+    p, l, k, j = config
+    grp = TruncatedGroup(l, k, j, p)
+    results = {r.name: r.passed for r in verify_commutation_theorem(grp)}
+    assert results["commutant_of_UL_equals_VM_span"]
+    IC = commutant(build_algebras(grp).gens_i, space_dim(grp))
+    per_element = all(
+        reference_coefficients(grp, crossed.block_form(grp, B)) is not None
+        for B in IC.basis
+    )
+    assert results["commutant_elements_have_coset_block_form"] == per_element
+
+
+@pytest.mark.parametrize(
+    "config", ORACLE_CONFIGS, ids=[",".join(map(str, c)) for c in ORACLE_CONFIGS]
+)
+def test_full_support_block_forms_are_certified_by_intertwining(config, monkeypatch):
+    """A F = F B certifies the block forms without forming F^-1 A F.
+
+    The operator identities match their conjugated oracle, and the
+    coefficients of the generators and of the reduce lattice basis match
+    the per-block oracle, while ``block_form`` is never called.
+    """
+    p, l, k, j = config
+    grp = TruncatedGroup(l, k, j, p)
+    conjugate = crossed.block_form
+    with monkeypatch.context() as m:
+        m.setattr(
+            crossed,
+            "_block_form_equals",
+            lambda grp, op, closed: conjugate(grp, op).equals(closed),
+        )
+        oracle = [(r.name, r.passed, r.detail) for r in verify_operator_identities(grp)]
+    algebras = build_algebras(grp)
+    lattice, _ = reduce_algebra(algebras.RJ)
+    calls = []
+    monkeypatch.setattr(
+        crossed, "block_form", lambda grp, op: calls.append(op) or conjugate(grp, op)
+    )
+    results = verify_operator_identities(grp)
+    assert [(r.name, r.passed, r.detail) for r in results] == oracle
+    assert all(passed for _, passed, _ in oracle)
+    for op in algebras.gens_j + lattice.basis:
+        b = extract_block_coefficients(grp, op)
+        want = reference_coefficients(grp, conjugate(grp, op))
+        assert want is not None and b.equals(want)
+    assert calls == []
+
+
+def test_wrong_twist_fails_the_intertwined_identity():
+    """U(1) has block [n][n] = zeta^n times the shift by 1; zeta^(-n) fails."""
+    grp = FREE
+    U = build_operator(grp, "U", a0=1)
+
+    def twisted(sign):
+        blocks = {
+            (n, n): [grp.zeta_pow(sign * n)] * grp.s_size for n in range(grp.order)
+        }
+        return crossed._weighted_shift_blocks(grp, blocks, 1)
+
+    assert crossed._block_form_equals(grp, U, twisted(1))
+    assert not crossed._block_form_equals(grp, U, twisted(-1))
+    assert not crossed.block_form(grp, U).equals(twisted(-1))
 
 
 def test_block_coefficients_certified_under_optimize_flag():

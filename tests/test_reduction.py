@@ -9,12 +9,14 @@ import pytest
 
 from fp_reference import (
     canonical_subspace,
+    dedekind_finite_spotcheck,
     intersect_subspaces,
     reference_annihilators,
     reference_close,
 )
-from padicops import fpalg, reduction
+from padicops import crossed, fpalg, reduction
 from padicops.charduals import TruncatedGroup
+from padicops.crossed import build_algebras
 from padicops.errors import CertificationFailed, NotInUnitBall
 from padicops.padic import PadicScalar
 from padicops.reduction import (
@@ -23,7 +25,7 @@ from padicops.reduction import (
     _poly_idempotents,
     classify_type,
     compute_center,
-    dedekind_finite_spotcheck,
+    dedekind_finite,
     is_baer,
     left_annihilator,
     reduce_algebra,
@@ -32,6 +34,7 @@ from padicops.reduction import (
 )
 from padicops.report import all_passed
 from padicops.ultralinalg import KMatrix, MatrixAlgebra, algebra_span, is_orthonormal
+from test_crossed import ORACLE_CONFIGS, reference_coefficients
 
 
 def random_unit_ball_matrix(p, n, rng):
@@ -307,9 +310,20 @@ class TestBaer:
         assert report.detail["central_blocks"] == 2
 
     def test_dedekind_finiteness(self):
-        assert dedekind_finite_spotcheck(full_matrix_algebra_fp(3, 2), trials=200)
-        alg, _ = dual_numbers(3)
-        assert dedekind_finite_spotcheck(alg, trials=50)
+        algebras = [full_matrix_algebra_fp(3, 2), dual_numbers(3)[0]]
+        algebras += [_upper_triangular_fp(5, 3), _gorenstein_algebra(3)]
+        for alg in algebras:
+            assert dedekind_finite(alg) is True
+            assert dedekind_finite_spotcheck(alg, trials=50)
+
+    def test_dedekind_finiteness_needs_a_unital_closed_algebra(self):
+        _, N = dual_numbers(3)
+        with pytest.raises(ValueError, match="not unital"):
+            dedekind_finite(FiniteAlgebra(3, 2, [N], unital=False))
+        E12 = np.array([[0, 1], [0, 0]], dtype=np.int64)
+        E21 = E12.T.copy()
+        with pytest.raises(ValueError, match="not closed"):
+            dedekind_finite(FiniteAlgebra(3, 2, [np.eye(2, dtype=np.int64), E12, E21]))
 
 
 def _upper_triangular_fp(p, n):
@@ -415,6 +429,41 @@ class TestCrossedReduction:
     def test_small_free_configuration(self):
         results = verify_crossed_reduction(TruncatedGroup(2, 1, 1, 3))
         assert all_passed(results), [r.name for r in results if not r.passed]
+
+    @pytest.mark.parametrize(
+        "config", ORACLE_CONFIGS, ids=[",".join(map(str, c)) for c in ORACLE_CONFIGS]
+    )
+    def test_derived_checks_match_computed_oracles(self, config):
+        """The support and multiplicativity verdicts against the d^2 loop.
+
+        The oracle conjugates each lattice basis element into its block
+        form, tests its blocks off the G0-cosets, reads its coefficients
+        block by block, and extracts the coefficients of each of the d^2
+        products of block forms.
+        """
+        p, l, k, j = config
+        grp = TruncatedGroup(l, k, j, p)
+        results = {r.name: r.passed for r in verify_crossed_reduction(grp)}
+        lattice, _ = reduce_algebra(build_algebras(grp).RJ)
+        hats = [crossed.block_form(grp, B) for B in lattice.basis]
+        off_cosets = [
+            (m, n)
+            for m in range(grp.order)
+            for n in range(grp.order)
+            if not grp.in_g0(m - n)
+        ]
+        blocks = [crossed._blocks(grp, h) for h in hats]
+        support = all(bl[m][n].is_zero() for bl in blocks for m, n in off_cosets)
+        assert results["coefficients_vanish_off_G0_cosets"] == support
+        coeffs = [reference_coefficients(grp, h) for h in hats]
+        assert all(b is not None for b in coeffs)
+        multiplicative = True
+        for h1, b1 in zip(hats, coeffs):
+            for h2, b2 in zip(hats, coeffs):
+                product = reference_coefficients(grp, h1 @ h2)
+                if product is None or not product.equals(b1 @ b2):
+                    multiplicative = False
+        assert results["coefficient_map_is_multiplicative"] == multiplicative
 
     def test_mihara_algebra_reduces(self):
         p = 3
