@@ -314,33 +314,44 @@ def idempotent_check(elem: StructuredCommutantElement) -> IdempotentVerdict:
     return IdempotentVerdict(idem, ortho)
 
 
-def _block_form_equals(grp: TruncatedGroup, op: KMatrix, closed: KMatrix) -> bool:
-    """F^-1 op F = closed, certified as the intertwining op F = F closed.
+def _failing_blocks(
+    grp: TruncatedGroup, op: KMatrix, closed: KMatrix
+) -> list[tuple[int, int]]:
+    """Blocks (m, n) where F^-1 op F and closed differ, in row-major order.
 
-    F F^-1 = I is certified and F, F^-1 lie in GL_n(Z_p), so the two
-    equalities hold to precision together; F^-1 op F is formed only when
-    the intertwining fails.
+    Agreement is certified as the intertwining op F = F closed: F F^-1 = I
+    is certified and F, F^-1 lie in GL_n(Z_p), so the two equalities hold
+    to precision together.  F^-1 op F is formed only when the
+    intertwining fails, to name the blocks that differ.
     """
     F = grp.partial_fourier[0]
-    return (op @ F).equals(F @ closed) or block_form(grp, op).equals(closed)
+    if (op @ F).equals(F @ closed):
+        return []
+    s = grp.s_size
+    diff = block_form(grp, op) - closed
+    return sorted(
+        {
+            (r // s, c // s)
+            for r, row in enumerate(diff.data)
+            for c, a in row.items()
+            if not a.is_zero()
+        }
+    )
 
 
-def extract_block_coefficients(grp: TruncatedGroup, op: KMatrix) -> KMatrix:
+def extract_block_coefficients(
+    grp: TruncatedGroup, op: KMatrix
+) -> tuple[KMatrix, KMatrix]:
     """Coefficient matrix b[m,n] of an element of the U/L commutant.
 
     b[m,n] is read at the base point, entry (m l^j, n l^j) of the block
     form F^-1 op F, on the G0-cosets: b[m,n] = l^-k sum over a, a' of
     zeta^(-m a) op[(0, a), (0, a')] zeta^(n a'), from the x = 0 slice.
     The block form is then certified equal to the block form B that
-    these coefficients give, so every block is multiplication by
-    b[m,n] eta_(m-n) and blocks vanish off the G0-cosets.
-
-    When every row of op stores an entry, the certificate is the
-    intertwining op F = F B (see ``_block_form_equals``), which never
-    forms F^-1 op F; for sparser op conjugating is cheaper.  If the
-    intertwining fails, F^-1 op F - B decides, and CertificationFailed
-    names its first failing block in row-major order.  Returns the
-    l^k x l^k matrix b.
+    these coefficients give (see ``_failing_blocks``), so every block is
+    multiplication by b[m,n] eta_(m-n) and blocks vanish off the
+    G0-cosets; otherwise CertificationFailed names the first failing
+    block.  Returns the l^k x l^k matrix b and B.
     """
     F, F_inv = grp.partial_fourier
     s, order = grp.s_size, grp.order
@@ -353,21 +364,14 @@ def extract_block_coefficients(grp: TruncatedGroup, op: KMatrix) -> KMatrix:
         if grp.in_g0(m - n) and n * s in head.data[m]
     }
     B = StructuredCommutantElement(grp, b).block_matrix()
-    if not (all(op.data) and (op @ F).equals(F @ B)):
-        diff = block_form(grp, op) - B
-        failing = [
-            (r // s, c // s)
-            for r, row in enumerate(diff.data)
-            for c, a in row.items()
-            if not a.is_zero()
-        ]
-        if failing:
-            m, n = min(failing)
-            if grp.in_g0(m - n):
-                raise CertificationFailed("block is not b * mult(eta)")
-            raise CertificationFailed("nonzero block off the G0-cosets")
+    failing = _failing_blocks(grp, op, B)
+    if failing:
+        m, n = failing[0]
+        if grp.in_g0(m - n):
+            raise CertificationFailed("block is not b * mult(eta)")
+        raise CertificationFailed("nonzero block off the G0-cosets")
     b_rows = [{n: c for (r, n), c in b.items() if r == m} for m in range(order)]
-    return KMatrix.from_rows(grp.p, b_rows, order)
+    return KMatrix.from_rows(grp.p, b_rows, order), B
 
 
 def verify_operator_identities(grp: TruncatedGroup) -> list[CheckResult]:
@@ -380,7 +384,7 @@ def verify_operator_identities(grp: TruncatedGroup) -> list[CheckResult]:
     n_dim = space_dim(grp)
 
     def blocks_are(A: KMatrix, blocks: dict, shift: int = 0) -> bool:
-        return _block_form_equals(grp, A, _weighted_shift_blocks(grp, blocks, shift))
+        return not _failing_blocks(grp, A, _weighted_shift_blocks(grp, blocks, shift))
 
     W = build_operator(grp, "W")
     conj_ok = u_ok = v_ok = l_ok = m_ok = True

@@ -19,12 +19,7 @@ import numpy as np
 
 from . import fpalg
 from .charduals import TruncatedGroup
-from .crossed import (
-    StructuredCommutantElement,
-    build_algebras,
-    extract_block_coefficients,
-    nu_block_change,
-)
+from .crossed import build_algebras, extract_block_coefficients, nu_block_change
 from .errors import (
     BudgetExceeded,
     CertificationFailed,
@@ -608,7 +603,8 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
 
     # extraction certifies F^-1 B F = block(b_B) for each basis element B,
     # raising on any nonzero block off the G0-cosets, so b_B vanishes there
-    coeffs = [extract_block_coefficients(grp, B) for B in lattice.basis]
+    extracted = [extract_block_coefficients(grp, B) for B in lattice.basis]
+    coeffs = [b for b, _ in extracted]
     results.append(CheckResult("coefficients_vanish_off_G0_cosets", True))
     # F^-1 B1 B2 F = block(b1) block(b2), as F F^-1 = I is certified, and
     # that is block(b1 b2) when the characters of G0 multiply
@@ -617,15 +613,12 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
     )
 
     # matrix elements in the nu basis follow the shifted-coset pattern:
-    # T^-1 A T = D^-1 block(b) D, and entry ((l, m), (i, j)) is b[m, j]
-    # when l = m + i - j and zero otherwise
+    # T^-1 A T = D^-1 block(b) D, with block(b) as extraction built it, and
+    # entry ((l, m), (i, j)) is b[m, j] when l = m + i - j and zero otherwise
     D, D_inv = nu_block_change(grp)
     nu_index = [(i, n) for i in grp.g0_indices() for n in range(grp.order)]
     pattern_ok = True
-    for b in coeffs:
-        block = StructuredCommutantElement(
-            grp, {(m, n): c for m, row in enumerate(b.data) for n, c in row.items()}
-        ).block_matrix()
+    for b, block in extracted:
         expected = [
             {
                 col: b.entry(m, j)

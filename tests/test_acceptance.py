@@ -229,7 +229,7 @@ def test_criterion_9_reduction_and_baer():
         lattice, _ = reduce_algebra(build_algebras(grp).RJ)
         stack = np.array(
             [
-                reduce_matrix(extract_block_coefficients(grp, B)).reshape(-1)
+                reduce_matrix(extract_block_coefficients(grp, B)[0]).reshape(-1)
                 for B in lattice.basis
             ]
         )

@@ -407,10 +407,11 @@ def test_block_coefficients_of_flip_not_certified():
     I = KMatrix.identity(p, n)
 
     def extract(rows, plus_identity):
-        # F hat F^-1 + I stores an entry in every row, so extraction tries
-        # the intertwining first and names the block after it fails
+        # the point-basis operator of the block form, as it is and plus I;
+        # the intertwining fails first in both, and F^-1 op F - B names
+        # the first failing block
         op = F @ KMatrix.from_rows(p, rows, n) @ F_inv
-        return extract_block_coefficients(NONFREE, op + I if plus_identity else op)
+        return extract_block_coefficients(NONFREE, op + I if plus_identity else op)[0]
 
     for plus_identity in (False, True):
         rows = [{} for _ in range(n)]
@@ -443,6 +444,10 @@ def test_capped_zero_coefficient_enters_the_comparison():
     of block [0][0] at x = 0 and x = 1.  A block [0][0] holding that zero
     at x = 0 and p^2 at x = 1 is then equal to it to precision; it would
     not be if the capped zeros were skipped.
+
+    Extraction keeps such a coefficient as it is read: u I, with u = 1
+    known mod p, has b[m,n] = u delta_mn on the cosets, and for m != n
+    the sum over the x = 0 slice cancels to a zero known mod p.
     """
     p, n = NONFREE.p, space_dim(NONFREE)
     zero = PadicScalar.capped_zero(p, 1)
@@ -451,6 +456,22 @@ def test_capped_zero_coefficient_enters_the_comparison():
     rows = [{} for _ in range(n)]
     rows[0][0], rows[1][1] = zero, PadicScalar.from_int(p, p**2)
     assert KMatrix.from_rows(p, rows, n).equals(B)
+
+    u = PadicScalar.capped(p, 0, 1, 1)
+    op = KMatrix.from_rows(p, [{i: u} for i in range(n)], n)
+    b, B = extract_block_coefficients(NONFREE, op)
+    # G0 = {0, 2}: b[m,n] is read where m - n is even
+    assert [sorted(row) for row in b.data] == [[0, 2], [1, 3], [0, 2], [1, 3]]
+    for m, row in enumerate(b.data):
+        for col, c in row.items():
+            if col == m:
+                assert c.equals(u)
+            else:
+                assert c.is_zero() and not c.is_exact_zero()
+                assert c.valuation_lower_bound() == 1
+    # block [0][2] stores b[0,2] eta_2, capped zeros, at x = 0 and x = 1
+    assert [sorted(row) for row in B.data[:2]] == [[0, 4], [1, 5]]
+    assert B.equals(crossed.block_form(NONFREE, op))
 
 
 def reference_coefficients(grp, hat):
@@ -475,6 +496,19 @@ def reference_coefficients(grp, hat):
                 return None
             b_rows[m][n] = c
     return KMatrix.from_rows(grp.p, b_rows, grp.order)
+
+
+def conjugated_failing_blocks(grp, op, closed):
+    """The blocks where F^-1 op F and closed differ, always by conjugating."""
+    s, diff = grp.s_size, crossed.block_form(grp, op) - closed
+    return sorted(
+        {
+            (r // s, c // s)
+            for r, row in enumerate(diff.data)
+            for c, a in row.items()
+            if not a.is_zero()
+        }
+    )
 
 
 # the two reduce-16 configurations and the 32-point crossed-32 one
@@ -511,11 +545,7 @@ def test_full_support_block_forms_are_certified_by_intertwining(config, monkeypa
     grp = TruncatedGroup(l, k, j, p)
     conjugate = crossed.block_form
     with monkeypatch.context() as m:
-        m.setattr(
-            crossed,
-            "_block_form_equals",
-            lambda grp, op, closed: conjugate(grp, op).equals(closed),
-        )
+        m.setattr(crossed, "_failing_blocks", conjugated_failing_blocks)
         oracle = [(r.name, r.passed, r.detail) for r in verify_operator_identities(grp)]
     algebras = build_algebras(grp)
     lattice, _ = reduce_algebra(algebras.RJ)
@@ -527,9 +557,10 @@ def test_full_support_block_forms_are_certified_by_intertwining(config, monkeypa
     assert [(r.name, r.passed, r.detail) for r in results] == oracle
     assert all(passed for _, passed, _ in oracle)
     for op in algebras.gens_j + lattice.basis:
-        b = extract_block_coefficients(grp, op)
-        want = reference_coefficients(grp, conjugate(grp, op))
-        assert want is not None and b.equals(want)
+        b, B = extract_block_coefficients(grp, op)
+        hat = conjugate(grp, op)
+        want = reference_coefficients(grp, hat)
+        assert want is not None and b.equals(want) and B.equals(hat)
     assert calls == []
 
 
@@ -544,9 +575,11 @@ def test_wrong_twist_fails_the_intertwined_identity():
         }
         return crossed._weighted_shift_blocks(grp, blocks, 1)
 
-    assert crossed._block_form_equals(grp, U, twisted(1))
-    assert not crossed._block_form_equals(grp, U, twisted(-1))
-    assert not crossed.block_form(grp, U).equals(twisted(-1))
+    assert crossed._failing_blocks(grp, U, twisted(1)) == []
+    # zeta^n = zeta^(-n) only where 2n = 0 mod l^k
+    odd = [(n, n) for n in range(grp.order) if 2 * n % grp.order]
+    assert crossed._failing_blocks(grp, U, twisted(-1)) == odd
+    assert conjugated_failing_blocks(grp, U, twisted(-1)) == odd
 
 
 def test_block_coefficients_certified_under_optimize_flag():
