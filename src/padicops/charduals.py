@@ -77,6 +77,11 @@ class TruncatedGroup:
         """Dual stabilizer subgroup G0: indices divisible by l^(k-j)."""
         return list(range(0, self.order, self.g0_modulus))
 
+    def g0_cosets(self) -> list[list[int]]:
+        """The cosets r + G0, r = 0 .. l^(k-j) - 1, each in increasing order."""
+        m = self.g0_modulus
+        return [list(range(r, self.order, m)) for r in range(m)]
+
     def in_g0(self, i: int) -> bool:
         return i % self.g0_modulus == 0
 

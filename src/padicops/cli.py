@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 import time
 import traceback
@@ -205,9 +206,27 @@ def check_mihara_span(config: RunConfig) -> tuple[str, dict]:
 
 
 # a capped --input literal may track at most this many times --precision
-# digits: the cost of capped arithmetic grows about as N^2, so one literal
-# with a huge N could stall a run
+# digits, and an exact one may carry a decimal exponent at most this many
+# times --precision in absolute value: capped arithmetic costs about N^2,
+# and "1e999999" would build a million-digit integer, so either could
+# stall a run
 INPUT_PRECISION_FACTOR = 16
+
+# the exponent of a decimal string literal, as Fraction reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _exponent_exceeds(literal: str, bound: int) -> bool:
+    """Does the literal's decimal exponent exceed bound in absolute value?
+
+    Read from the digits alone, so no integer longer than the bound's is
+    built.
+    """
+    m = _EXPONENT.search(literal)
+    if m is None:
+        return False
+    digits = m.group(1).lstrip("+-").replace("_", "").lstrip("0")
+    return len(digits) > len(str(bound)) or int(digits or 0) > bound
 
 
 def validate_payload(payload, config: RunConfig) -> None:
@@ -216,7 +235,8 @@ def validate_payload(payload, config: RunConfig) -> None:
     It must be an object whose "matrix" is a non-empty square list of
     rows, and whose optional "q_roots" is a list; every matrix entry and
     every root must parse as a scalar literal at the run's p and
-    precision, and a capped literal's N may not exceed
+    precision.  A capped literal's N, and an exact string literal's
+    decimal exponent in absolute value, may not exceed
     INPUT_PRECISION_FACTOR times the precision (tested before the scalar
     is built).  Raises ConfigInvalid otherwise.
     """
@@ -246,6 +266,11 @@ def validate_payload(payload, config: RunConfig) -> None:
                 raise ConfigInvalid(
                     f"input {where}: capped literal precision N = {n} exceeds "
                     f"{max_n} ({INPUT_PRECISION_FACTOR} x --precision)"
+                )
+            if isinstance(literal, str) and _exponent_exceeds(literal, max_n):
+                raise ConfigInvalid(
+                    f"input {where}: exact literal exponent exceeds {max_n} "
+                    f"({INPUT_PRECISION_FACTOR} x --precision) in absolute value"
                 )
             try:
                 parse_scalar(config.p, literal, config.precision)
@@ -430,10 +455,7 @@ def _random_structured(grp: TruncatedGroup, rng: random.Random, idempotent: bool
                 if grp.in_g0(m - n) and rng.random() < 0.8:
                     b[(m, n)] = random_exact(p, rng, vrange=(0, 2))
         return StructuredCommutantElement(grp, b)
-    cosets: dict[int, list[int]] = {}
-    for i in range(grp.order):
-        cosets.setdefault(i % grp.g0_modulus, []).append(i)
-    for idx in cosets.values():
+    for idx in grp.g0_cosets():
         B = random_projection(p, len(idx), rng)
         for r, row in enumerate(B.data):
             for c, value in row.items():
@@ -578,7 +600,9 @@ def main(argv=None) -> int:
             with open(args.input) as fh:
                 try:
                     payload = json.load(fh)
-                except json.JSONDecodeError as exc:
+                # a JSONDecodeError, or the ValueError of an integer past
+                # Python's int-string limit of 4,300 digits
+                except ValueError as exc:
                     raise ConfigInvalid(f"input is not valid JSON: {exc}") from exc
             validate_payload(payload, config)
     except ConfigInvalid as exc:

@@ -247,8 +247,7 @@ def _annihilator_generated_by_idempotent(
 
 # int64 entries per array of one elimination stack in the Baer search: a
 # chunk holds max(1, _STACK_ENTRIES // (n^2 dim)) annihilator systems of
-# n^2 x dim, or max(1, _STACK_ENTRIES // (2 dim^2)) intersection systems
-# of 2 dim x dim, so its memory stays bounded whatever the budget
+# n^2 x dim, so its memory stays bounded whatever the budget
 _STACK_ENTRIES = 1 << 13
 
 
@@ -271,61 +270,12 @@ def _line_representatives(p: int, dim: int, size: int):
             yield coords
 
 
-def _close_under_intersection(
-    alg: FiniteAlgebra, seen: dict, spans: list[np.ndarray]
-) -> None:
-    """Add every intersection of seen's subspaces to seen, in one pass.
-
-    spans[i] is the ``nullspace_stack`` slice, in coordinates, of the i-th
-    subspace in seen, and seen's keys are their bytes.  Each original
-    subspace a, in insertion order, meets every subspace after it that
-    exists when its turn starts: the later originals and every
-    intersection found so far.  That closes seen.  By induction on |J|,
-    the intersection over J of the originals is in seen after the turn of
-    max J: the intersection over J minus max J was there before, and it
-    is an original (met with max J at the earlier of their two turns) or
-    an intersection (indexed after every original).
-
-    The partners of a turn are fixed when it starts, so they are
-    intersected with a as one stack: A ∩ B is the null space of A's and
-    B's equations stacked.
-    """
-    p, n, dim = alg.p, alg.n, alg.dimension
-    size = max(1, _STACK_ENTRIES // (2 * dim * dim))
-    # the null space of a span's slice is the subspace's equations
-    equations = fpalg.nullspace_stack(np.array(spans), p)[0]
-    found: dict[bytes, np.ndarray] = {}
-    for a in range(len(spans)):
-        added = []
-        for start in range(a + 1, len(equations), size):
-            partners = equations[start : start + size]
-            systems = np.concatenate(
-                [np.broadcast_to(equations[a], partners.shape), partners], axis=1
-            )
-            for k in fpalg.nullspace_stack(systems, p)[0]:
-                key = k.tobytes()
-                if key not in seen and key not in found:
-                    found[key] = k
-                    added.append(k)
-        if added:
-            new = fpalg.nullspace_stack(np.array(added), p)[0]
-            equations = np.concatenate([equations, new])
-    if found:
-        # an intersection's basis is its rref in matrix coordinates; every
-        # intersection comes after the originals, so seen keeps the order
-        # in which they were found
-        R, pivots = fpalg.rref_stack(np.array(list(found.values())) @ alg.stack, p)
-        for key, rows, rank in zip(found, R, pivots.sum(axis=1)):
-            seen[key] = list(rows[:rank].reshape(-1, n, n))
-
-
-def _annihilator_closure(
+def _element_annihilators(
     alg: FiniteAlgebra, mode: str, n_samples: int, seed: int
 ) -> dict[bytes, list[np.ndarray]]:
-    """The annihilators that ``is_baer`` tests, in order, with their bases.
+    """The distinct annihilators l(s) of the searched elements, with their bases.
 
-    Those of the searched elements come first, in the order the elements
-    are visited, then the intersections that close them.  Each chunk of
+    They come in the order the elements are visited.  Each chunk of
     elements s is solved as one stack of systems x s = 0 over the
     coordinates of x.  A subspace's key is the bytes of its
     ``nullspace_stack`` slice: the basis with the identity on its free
@@ -347,7 +297,6 @@ def _annihilator_closure(
         chunks = (coords[i : i + size] for i in range(0, len(coords), size))
     basis = alg.stack.reshape(dim, n, n)
     seen: dict[bytes, list[np.ndarray]] = {}
-    spans = []
     for chunk in chunks:
         elements = (chunk @ alg.stack % p).reshape(-1, 1, n, n)
         # column i of system s is B_i s, flattened
@@ -357,8 +306,6 @@ def _annihilator_closure(
             key = k.tobytes()
             if key not in seen:
                 seen[key] = list((k[f] @ alg.stack % p).reshape(-1, n, n))
-                spans.append(k)
-    _close_under_intersection(alg, seen, spans)
     return seen
 
 
@@ -374,22 +321,36 @@ def is_baer(
 ) -> BaerReport:
     """Is every one-sided annihilator generated by an idempotent?
 
-    Exhaustive mode finds the annihilators of all cyclic right ideals and
-    closes them under intersection; feasible when p^dim is within budget.
-    As ann(c s) = ann(s) for every c != 0, it visits zero and one element
-    per line through the origin, (p^dim - 1)/(p - 1) + 1 elements, in the
-    order of ``iter_elements``.  Sampled mode tests the basis elements
-    plus a seeded random family; a positive verdict then only means "no
-    counterexample found".  In both modes the annihilators, and the
-    intersections that close them, are computed on stacks of systems by
-    ``fpalg``'s stacked elimination.
+    Only the left annihilators l(s) of single elements are tested: a p.p.
+    ring with no infinite set of orthogonal idempotents is Baer (Small,
+    "Semihereditary rings", 1967; Lam, Lectures on Modules and Rings,
+    §7D).  In finite dimension the proof is short.  If l(X) = Ae and
+    l(es) = Af for idempotents e, f, then (1 - e)es = 0 puts 1 - e in Af,
+    so (1 - e)f = 1 - e, that is ef = f + e - 1.  Then g = fe has
+    g^2 = f(ef)e = fe = g, gf = g and ge = g, and every x in Ae ∩ Af has
+    xg = xe = x, so Ag = Ae ∩ Af.  That is l(X ∪ {s}), as xs = xes when
+    x = xe.  By induction from l(∅) = A·1 every finite F has l(F)
+    generated by an idempotent, and since the dimension is finite,
+    l(S) = l(F) for some finite F ⊆ S.  Without a unit, x - xe for x in A
+    stands in for 1 - e (x = f gives fef = fe), and l(∅) = l(0) is among
+    the annihilators tested.
+
+    Exhaustive mode, feasible when p^dim is within budget, tests every
+    element annihilator; as l(c s) = l(s) for every c != 0, it visits
+    zero and one element per line through the origin,
+    (p^dim - 1)/(p - 1) + 1 elements, in the order of ``iter_elements``.
+    Sampled mode tests the basis elements plus a seeded random family; a
+    positive verdict then only means "no counterexample found".  In both
+    modes the annihilators are computed on stacks of systems by
+    ``fpalg``'s stacked elimination and tested in the order their
+    elements are visited.
     """
     p, dim = alg.p, alg.dimension
     if mode == "auto":
         mode = "exhaustive" if p**dim <= budget else "sampled"
     if mode == "exhaustive" and p**dim > budget:
         raise BudgetExceeded(f"p^dim = {p}^{dim} exceeds budget {budget}")
-    seen = _annihilator_closure(alg, mode, n_samples, seed)
+    seen = _element_annihilators(alg, mode, n_samples, seed)
     for L in seen.values():
         e = _annihilator_generated_by_idempotent(alg, L)
         if e is None:
@@ -653,11 +614,9 @@ def verify_crossed_reduction(grp: TruncatedGroup) -> list[CheckResult]:
     )
     results.append(CheckResult("coordinate_split_Z0_Z1_invariant", z_invariance))
 
-    cosets = {}
-    for i in range(grp.order):
-        cosets.setdefault(i % grp.g0_modulus, []).append(i)
+    cosets = grp.g0_cosets()
     blocks_full = True
-    for rep, idx in sorted(cosets.items()):
+    for idx in cosets:
         sub = np.array(
             [b[np.ix_(idx, idx)].reshape(-1) for b in reduced_coeffs], dtype=np.int64
         )

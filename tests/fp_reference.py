@@ -2,9 +2,12 @@
 
 These are the one-matrix-at-a-time versions that ``fpalg`` and
 ``reduction`` replaced by stacked elimination: a per-pivot rref, and the
-Baer search that computes one annihilator per element and one rref per
-intersection.  The Dedekind-finiteness spot check that
-``reduction.dedekind_finite`` replaced by the theorem is kept here too.
+Baer search that computes one annihilator per element.  Its closure under
+intersection, one rref per intersection, is what ``is_baer`` no longer
+computes (Small's theorem makes the element annihilators enough); the
+tests check its verdicts against that closure.  The Dedekind-finiteness
+spot check that ``reduction.dedekind_finite`` replaced by the theorem is
+kept here too.
 """
 
 import random

@@ -267,6 +267,54 @@ def test_input_precision_is_bounded(where, tmp_path, capsys, monkeypatch):
             assert got != 2 and captured.out
 
 
+@pytest.mark.parametrize("where", ["matrix", "q_roots"])
+def test_exact_input_exponent_is_bounded(where, tmp_path, capsys, monkeypatch):
+    """An exponent up to 16 x --precision is accepted; above it, the run exits 2.
+
+    The bound is read from the literal's text before it is parsed, so
+    "1e999999" never reaches Fraction: parse_scalar refuses every literal
+    whose exponent is over the bound.
+    """
+    cases = [("1e64", 0), ("3E-6_4", 0), ("1e65", 2), ("2.5e-65", 2)]
+    cases += [("1e999999", 2), ("-7e-999999", 2), ("1e" + "9" * 5000, 2)]
+    rejected = {literal for literal, code in cases if code == 2}
+    parse = cli.parse_scalar
+
+    def bounded_parse(p, literal, N):
+        assert literal not in rejected
+        return parse(p, literal, N)
+
+    monkeypatch.setattr(cli, "parse_scalar", bounded_parse)
+    path = tmp_path / "input.json"
+    for literal, code in cases:
+        payload = {"matrix": [[literal]]} if where == "matrix" else {
+            "matrix": [[1]],
+            "q_roots": [literal],
+        }
+        path.write_text(json.dumps(payload))
+        args = ["--p", "5", "--precision", "4", "--suite", "mihara", "--input", str(path)]
+        got = main(args)
+        captured = capsys.readouterr()
+        if code == 2:
+            assert got == 2
+            assert captured.err.startswith(f"invalid configuration: input {where}")
+            assert "exponent exceeds 64" in captured.err
+            assert captured.out == ""
+        else:
+            assert got != 2 and captured.out
+
+
+def test_huge_json_integer_is_a_configuration_error(tmp_path):
+    """An integer past Python's 4,300-digit int-string limit is not valid JSON."""
+    path = tmp_path / "input.json"
+    path.write_text('{"matrix": [[' + "7" * 5000 + "]]}")
+    proc = run_cli("--p", "5", "--suite", "mihara", "--input", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "invalid configuration: input is not valid JSON" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_input_that_is_not_json_is_a_configuration_error(tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text("[[1, 2], [3")

@@ -88,6 +88,72 @@ def _gorenstein_algebra(p):
     return FiniteAlgebra(p, 5, basis)
 
 
+def _closure_algebra():
+    """I, E01, E02, E03, E13, E23 + E33 over F_2.
+
+    One of its annihilators is the intersection of two others and the
+    annihilator of no single element.
+    """
+    p, n = 2, 4
+    basis = [np.eye(n, dtype=np.int64)]
+    for cells in [[(0, 1)], [(0, 2)], [(0, 3)], [(1, 3)], [(2, 3), (3, 3)]]:
+        B = np.zeros((n, n), dtype=np.int64)
+        for cell in cells:
+            B[cell] = 1
+        basis.append(B)
+    return FiniteAlgebra(p, n, basis)
+
+
+def _random_subalgebra(p, n, rng):
+    """Unital subalgebra of M_n(F_p) generated by one to four random matrices.
+
+    A generator is, with even odds, one or two matrix units (off the
+    diagonal seven times in ten, then above it) or a random matrix of
+    density 0.15, 0.3 or 0.5, upper triangular half the time.  The span
+    of I and the generators grows by products until it is closed.
+    """
+    rows = [np.eye(n, dtype=np.int64).reshape(-1)]
+    for _ in range(rng.randint(1, 4)):
+        M = np.zeros((n, n), dtype=np.int64)
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 2)):
+                if rng.random() < 0.7:
+                    M[tuple(sorted(rng.sample(range(n), 2)))] = 1
+                else:
+                    M[(rng.randrange(n),) * 2] = 1
+        else:
+            density = rng.choice([0.15, 0.3, 0.5])
+            upper = rng.random() < 0.5
+            for i, j in itertools.product(range(n), repeat=2):
+                if (not upper or j >= i) and rng.random() < density:
+                    M[i, j] = rng.randrange(p)
+        rows.append(M.reshape(-1))
+    while True:
+        R, pivots = fpalg.rref(np.array(rows), p)
+        basis = R[: len(pivots)]
+        mats = basis.reshape(-1, n, n)
+        products = (mats[:, None] @ mats[None]).reshape(-1, n * n) % p
+        if fpalg.rank(np.vstack([basis, products]), p) == len(basis):
+            return FiniteAlgebra(p, n, list(mats))
+        rows = [*basis, *products]
+
+
+def _random_subalgebras(count, seed):
+    """count seeded random subalgebras of M_n(F_p), p in {2, 3}, n <= 4.
+
+    Those of dimension below 3 are skipped as trivial, and those with
+    more than 256 elements to keep the per-element reference quick.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p, n = rng.choice([2, 3]), rng.randint(2, 4)
+        alg = _random_subalgebra(p, n, rng)
+        if alg.dimension >= 3 and p**alg.dimension <= 256:
+            out.append(alg)
+    return out
+
+
 def _fixpoint_closure(alg):
     """(number of single-element annihilators, closure under intersection).
 
@@ -235,28 +301,24 @@ class TestBaer:
         assert np.array_equal(report.failing_annihilator[0], N % 5)
 
     def test_closure_reaches_intersections_of_annihilators(self):
-        # I, E01, E02, E03, E13, E23 + E33 over F_2: one annihilator is the
-        # intersection of two others and the annihilator of no single element
-        p, n = 2, 4
-        basis = [np.eye(n, dtype=np.int64)]
-        for cells in [[(0, 1)], [(0, 2)], [(0, 3)], [(1, 3)], [(2, 3), (3, 3)]]:
-            B = np.zeros((n, n), dtype=np.int64)
-            for cell in cells:
-                B[cell] = 1
-            basis.append(B)
-        alg = FiniteAlgebra(p, n, basis)
+        # the closure of the element annihilators has one intersection
+        # more, and by Small's theorem is_baer need not test it: it tests
+        # the 11 element annihilators and fails where the closure does
+        alg = _closure_algebra()
         singles, closure = _fixpoint_closure(alg)
         report = is_baer(alg, mode="exhaustive")
         assert (singles, len(closure)) == (11, 12)
-        assert report.detail["annihilators_tested"] == len(closure)
+        assert report.detail["annihilators_tested"] == singles
         assert report.is_baer is False
+        assert _reference_report(alg, closure)[::2] == (False, _listed(report))
 
     def test_closure_needs_an_intersection_with_an_intersection(self):
         # the local algebra F_2[x, y, z]/(xy, xz, yz, x^2 - y^2, x^2 - z^2):
         # for s = ax + by + cz + dw (w = x^2), ann(s) is w plus the part of
         # span{x, y, z} orthogonal to (a, b, c), so the socle span{w} is the
         # intersection of three annihilators and of no two: the closure
-        # must also intersect the intersections it finds
+        # must also intersect the intersections it finds, and is_baer,
+        # which tests the 10 element annihilators, fails where it does
         alg = _gorenstein_algebra(2)
         singles, closure = _fixpoint_closure(alg)
         originals = list(reference_annihilators(alg, alg.iter_elements()).values())
@@ -269,8 +331,9 @@ class TestBaer:
         assert (singles, len(closure)) == (10, 18)
         assert socle in closure and socle not in pairwise
         report = is_baer(alg, mode="exhaustive")
-        assert report.detail["annihilators_tested"] == len(closure)
+        assert report.detail["annihilators_tested"] == singles
         assert report.is_baer is False
+        assert _reference_report(alg, closure)[::2] == (False, _listed(report))
 
     def test_sampled_mode_on_larger_algebra(self):
         report = is_baer(full_matrix_algebra_fp(5, 3), mode="sampled", n_samples=60)
@@ -354,16 +417,29 @@ def _reference_report(alg, seen):
     return True, len(seen), None
 
 
+def _listed(report):
+    """The report's failing annihilator as nested lists, or None."""
+    failing = report.failing_annihilator
+    return None if failing is None else [x.tolist() for x in failing]
+
+
 def _assert_same_search(alg, seen, reference, report):
+    """seen and report against one annihilator per element, in order.
+
+    The verdict and witness are also those of the first failure in the
+    closure of the reference under intersection.
+    """
     assert [canonical_subspace(alg, L) for L in seen.values()] == list(reference)
     for L, M in zip(seen.values(), reference.values()):
         assert [x.tolist() for x in L] == [x.tolist() for x in M]
-    failing = report.failing_annihilator
     assert _reference_report(alg, reference) == (
         report.is_baer,
         report.detail["annihilators_tested"],
-        None if failing is None else [x.tolist() for x in failing],
+        _listed(report),
     )
+    closed = dict(reference)
+    reference_close(alg, closed)
+    assert _reference_report(alg, closed)[::2] == (report.is_baer, _listed(report))
 
 
 class TestBaerSearchAgainstEveryElement:
@@ -376,8 +452,7 @@ class TestBaerSearchAgainstEveryElement:
         monkeypatch.setattr(reduction, "_STACK_ENTRIES", entries)
         alg = ORACLE_ALGEBRAS[name]()
         reference = reference_annihilators(alg, alg.iter_elements())
-        reference_close(alg, reference)
-        seen = reduction._annihilator_closure(alg, "exhaustive", 0, 0)
+        seen = reduction._element_annihilators(alg, "exhaustive", 0, 0)
         _assert_same_search(alg, seen, reference, is_baer(alg, mode="exhaustive"))
 
     @pytest.mark.parametrize("p, dim", [(2, 1), (2, 5), (3, 3), (5, 2), (17, 1)])
@@ -405,8 +480,7 @@ class TestBaerSearchAgainstEveryElement:
             for _ in range(25)
         ]
         reference = reference_annihilators(alg, elements)
-        reference_close(alg, reference)
-        seen = reduction._annihilator_closure(alg, "sampled", 25, 7)
+        seen = reduction._element_annihilators(alg, "sampled", 25, 7)
         report = is_baer(alg, mode="sampled", n_samples=25, seed=7)
         assert report.search_mode == "sampled"
         _assert_same_search(alg, seen, reference, report)
@@ -419,10 +493,41 @@ class TestBaerSearchAgainstEveryElement:
             for _ in range(40)
         ]
         reference = reference_annihilators(alg, elements)
-        reference_close(alg, reference)
         report = is_baer(alg, mode="sampled", n_samples=40, seed=3)
-        seen = reduction._annihilator_closure(alg, "sampled", 40, 3)
+        seen = reduction._element_annihilators(alg, "sampled", 40, 3)
         _assert_same_search(alg, seen, reference, report)
+
+
+THEOREM_SETS = {
+    "oracle": lambda: [build() for _, build in sorted(ORACLE_ALGEBRAS.items())],
+    "closure": lambda: [_closure_algebra(), _gorenstein_algebra(2)],
+    "random": lambda: _random_subalgebras(200, seed=12),
+}
+
+
+class TestSmallTheorem:
+    """Element annihilators decide Baer as their closure under intersection does.
+
+    A p.p. ring with no infinite set of orthogonal idempotents is Baer, so
+    exhaustive is_baer fails exactly on the first annihilator of the
+    closed per-element reference that no idempotent generates.
+    """
+
+    @pytest.mark.parametrize("name", sorted(THEOREM_SETS))
+    def test_verdict_and_witness_match_the_closed_reference(self, name):
+        algebras = THEOREM_SETS[name]()
+        verdicts = []
+        for alg in algebras:
+            closed = reference_annihilators(alg, alg.iter_elements())
+            singles = len(closed)
+            reference_close(alg, closed)
+            report = is_baer(alg, mode="exhaustive")
+            assert report.detail["annihilators_tested"] == singles
+            assert _reference_report(alg, closed)[::2] == (report.is_baer, _listed(report))
+            verdicts.append(report.is_baer)
+        if name == "random":
+            assert len(algebras) >= 200
+            assert verdicts.count(False) >= 50
 
 
 class TestCrossedReduction:

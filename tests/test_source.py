@@ -1,4 +1,4 @@
-"""Source-level rules: named certifications and a numpy-only import."""
+"""Source-level rules: named certifications, no assert, a numpy-only import."""
 
 import ast
 import os
@@ -37,6 +37,17 @@ def test_every_certification_names_its_claim():
         if not (isinstance(exc, ast.Call) and exc.args and _is_nonempty_string(exc.args[0]))
     ]
     assert unnamed == []
+
+
+def test_no_assert_statement_in_the_package():
+    """Certification must survive ``python -O``, which strips every assert."""
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_import_leaves_sympy_unloaded():
